@@ -12,7 +12,10 @@ namespace updown {
 
 /// Parse "src dst" lines; `skip_lines` mirrors the tools' -l offset flag for
 /// headers. Tabs or spaces separate fields; blank lines and lines starting
-/// with '#' or '%' are ignored.
+/// with '#' or '%' are ignored, as are columns after the two ids. Anything
+/// else that is not two decimal ids below VertexId's maximum (a sign, a
+/// stray character, an overflowing id) throws std::runtime_error naming
+/// `path:line`.
 Graph read_edge_list(const std::string& path, std::uint64_t skip_lines = 0,
                      bool symmetrize = false);
 
@@ -22,6 +25,10 @@ void write_edge_list(const Graph& g, const std::string& path);
 /// and `<prefix>_nl.bin` (the flat neighbor-list array).
 void write_binary(const Graph& g, const std::string& prefix);
 
+/// Read a pair written by write_binary. Throws std::runtime_error naming the
+/// file when the header disagrees with the file sizes or the CSR is
+/// malformed (offsets not starting at 0, decreasing, or not ending at m; a
+/// neighbor id >= n).
 Graph read_binary(const std::string& prefix);
 
 }  // namespace updown

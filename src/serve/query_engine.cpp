@@ -741,7 +741,7 @@ struct SqIprMap : kvmsr::MapTask {
 // Incremental BFS frontier repair: seeded from delta-touched sources, each
 // round relaxes `dist` monotonically downward (improve-test in the reduce),
 // so final levels are independent of message arrival order — and of shard
-// count, work stealing, and unrelated concurrent jobs. Map tasks read level
+// count and unrelated concurrent jobs. Map tasks read level
 // candidates from the per-round `levels` snapshot, never live dist.
 // ---------------------------------------------------------------------------
 struct SqIbfsMap : kvmsr::MapTask {

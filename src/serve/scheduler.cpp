@@ -131,7 +131,15 @@ Tick Scheduler::next_attention() const {
   if (next_cancel_ < cancels_.size()) t = std::min(t, cancels_[next_cancel_].at);
   for (const MutRec& r : muts_) {
     if (r.applied) continue;
-    t = std::min(t, r.started ? r.mu.not_before : r.mu.arrival);
+    if (!r.started) {
+      t = std::min(t, r.mu.arrival);
+    } else if (r.mu.not_before > eng_.tick_seen()) {
+      // Only a future not_before is a wake-up point. Once it has passed, the
+      // mutation waits for running queries, whose completion already wakes
+      // drain(); a past tick would satisfy run_until's predicate before any
+      // event executes, and drain() would spin without advancing.
+      t = std::min(t, r.mu.not_before);
+    }
   }
   return t;
 }

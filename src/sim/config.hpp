@@ -66,23 +66,6 @@ struct MachineConfig {
   // udcheck defers its analysis to a window-boundary replay on shard 0.
   std::uint32_t shards = 1;
 
-  /// Pin each shard's host thread to a CPU (UD_PIN env overrides). Together
-  /// with the lane table's first-touch materialization this gives NUMA-local
-  /// lane state: a shard touches only the cores of lanes it owns, so their
-  /// pages are allocated on the pinned thread's NUMA node.
-  bool pin = false;
-
-  /// Rebalance the node->shard partition at window boundaries when the
-  /// per-node work counters show the current partition is skewed (UD_STEAL
-  /// env overrides). The remap happens inside the lock-step barrier protocol
-  /// and migrates whole nodes, so results stay bit-identical (see DESIGN.md
-  /// "Memory layout & scale").
-  bool steal = false;
-
-  /// Check for imbalance every this many lock-step windows when `steal` is
-  /// on (UD_STEAL_PERIOD env overrides; strict parse, 0 keeps this default).
-  std::uint32_t steal_period = 16;
-
   /// Conservative lookahead of the sharded engine: no event can cause
   /// another event on a different node sooner than this (1 hop minimum, and
   /// bandwidth queuing only adds delay).

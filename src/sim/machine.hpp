@@ -148,12 +148,8 @@ class Machine {
   /// MachineConfig::shards, clamped to the node count). Checked runs shard
   /// too: udcheck defers its analysis to a window-boundary replay.
   std::uint32_t shards() const { return nshards_; }
-  /// Owning shard of `node`. Starts as the round-robin partition
-  /// (node % shards); work stealing (UD_STEAL) remaps it at window
-  /// boundaries, with all shards observing the same map each window.
-  std::uint32_t shard_of(std::uint32_t node) const {
-    return nshards_ == 1 ? 0 : owner_[node];
-  }
+  /// Owning shard of `node`: the fixed round-robin partition node % shards.
+  std::uint32_t shard_of(std::uint32_t node) const { return shard_div_.mod(node); }
 
   // ---- Host (TOP core) interface --------------------------------------------
   /// Inject an event from the host; it is delivered to the target lane with
@@ -325,13 +321,6 @@ class Machine {
   void run_shard(std::uint32_t my, Tick lookahead);
   /// Merge every mailbox addressed to shard `my` into its queue.
   void merge_inbox(EngineShard& sh, std::uint32_t my);
-  /// Shard 0, inside the steal barriers: decide whether the node->shard
-  /// partition is skewed and, if so, compute a new owner map (greedy LPT over
-  /// per-node work). Sets rebalance_now_ for all shards to read.
-  void plan_rebalance();
-  /// After a remap: drain this shard's queue, keep entries for nodes it still
-  /// owns, and mail the rest to their new owners.
-  void migrate_queue(EngineShard& sh, std::uint32_t my);
   /// Fold all shards' stats deltas into stats_ and zero the deltas.
   void flush_stats();
 
@@ -346,6 +335,7 @@ class Machine {
   FastDiv lpn_div_;  ///< by lanes_per_node()
   FastDiv lpa_div_;  ///< by lanes_per_accel
   std::uint32_t nshards_ = 1;
+  FastDiv shard_div_;  ///< by nshards_ (node -> owning shard)
   std::vector<std::unique_ptr<EngineShard>> shards_;
   std::vector<std::uint32_t> dram_seq_;  ///< per-node DRAM-port send counters
   std::uint32_t host_seq_ = 0;           ///< host send counter
@@ -358,16 +348,6 @@ class Machine {
   std::atomic<bool> stop_{false};
   const std::function<bool()>* stop_pred_ = nullptr;  ///< valid during run_sharded
   std::uint64_t windows_ = 0;  ///< lock-step windows executed (shard 0 counts)
-  bool pin_ = false;           ///< pin shard threads to CPUs (UD_PIN)
-  bool steal_ = false;         ///< window-boundary work stealing (UD_STEAL)
-  std::uint32_t steal_period_ = 16;       ///< windows between imbalance checks
-  std::vector<std::uint32_t> owner_;      ///< node -> owning shard
-  /// Charged cycles per node since the last imbalance check. Written only by
-  /// the node's owning shard during the exec phase; read and zeroed by shard 0
-  /// between the steal barriers (happens-before via the barrier protocol).
-  std::vector<std::uint64_t> node_work_;
-  bool rebalance_now_ = false;  ///< shard 0 writes between S1/S2; all read after S2
-  std::uint64_t rebalances_ = 0;
   Tick now_ = 0;
   MachineStats stats_;
   std::unique_ptr<Checker> checker_;  ///< null unless checking is enabled

@@ -242,7 +242,6 @@ struct SoloVsShared {
 SoloVsShared run_partitioned(std::uint32_t shards, bool check, bool launch_both) {
   EnvGuard g1("UD_SHARDS", std::to_string(shards).c_str());
   EnvGuard g2("UD_CHECK", check ? "1" : "0");
-  EnvGuard g3("UD_STEAL", "0");
   Machine m(MachineConfig::scaled(4));
   auto& eng = QueryEngine::install(m);
   Tenant a = make_tenant(m, QueryKind::kPageRank, rmat(8, {}, 41), 0, 2, "A.pr");

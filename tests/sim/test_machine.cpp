@@ -338,41 +338,5 @@ TEST(MachineEnv, ShardsValidValueAppliesAndClampsToNodes) {
   }
 }
 
-// UD_STEAL_PERIOD gets the same strict treatment — and it is parsed
-// unconditionally, so a garbage value fails even with stealing off rather
-// than lying dormant until someone flips UD_STEAL on.
-
-TEST(MachineEnv, StealPeriodTrailingGarbageThrows) {
-  EnvGuard s("UD_STEAL", "0");
-  EnvGuard g("UD_STEAL_PERIOD", "16x");
-  EXPECT_THROW(Machine{MachineConfig::scaled(4)}, std::invalid_argument);
-}
-
-TEST(MachineEnv, StealPeriodNegativeThrows) {
-  EnvGuard g("UD_STEAL_PERIOD", "-1");
-  EXPECT_THROW(Machine{MachineConfig::scaled(4)}, std::invalid_argument);
-}
-
-TEST(MachineEnv, StealPeriodOverflowThrows) {
-  EnvGuard g("UD_STEAL_PERIOD", "99999999999999999999999");
-  EXPECT_THROW(Machine{MachineConfig::scaled(4)}, std::invalid_argument);
-}
-
-TEST(MachineEnv, StealPeriodAboveCapThrows) {
-  EnvGuard g("UD_STEAL_PERIOD", "1048577");  // cap is 1 << 20
-  EXPECT_THROW(Machine{MachineConfig::scaled(4)}, std::invalid_argument);
-}
-
-TEST(MachineEnv, StealPeriodZeroOrUnsetKeepsConfiguredDefault) {
-  {
-    EnvGuard g("UD_STEAL_PERIOD", "0");
-    Machine m(MachineConfig::scaled(4));  // constructs fine, default period
-  }
-  {
-    EnvGuard g("UD_STEAL_PERIOD", nullptr);
-    Machine m(MachineConfig::scaled(4));
-  }
-}
-
 }  // namespace
 }  // namespace updown

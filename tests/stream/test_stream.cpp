@@ -280,7 +280,6 @@ Fingerprint run_variant(std::uint32_t shards, bool check, bool launch_tenant,
                         Tick ingest_at) {
   EnvGuard g1("UD_SHARDS", std::to_string(shards).c_str());
   EnvGuard g2("UD_CHECK", check ? "1" : "0");
-  EnvGuard g3("UD_STEAL", "0");
   Machine m(MachineConfig::scaled(4));
   const auto lpn = static_cast<std::uint32_t>(m.config().total_lanes() / 4);
 
@@ -445,6 +444,100 @@ TEST(StreamScheduler, MutationGatesPostArrivalQueriesAndAppliesOnEpochGrid) {
             baseline::bfs(post, 0).dist);
   EXPECT_EQ(se.graph().epochs(), 1u);
   EXPECT_EQ(se.last_epoch_tick(), sched.mutation_applied_tick(mu));
+}
+
+// A batch whose epoch tick passes while queries that arrived before it are
+// still running must wait for them and then apply, within one drain(). The
+// hazard is drain() treating the passed tick as a wake-up point: run_until
+// then stops before executing any event, and drain() spins (the ctest
+// TIMEOUT catches that). Each batch here lands 50 ticks before its epoch
+// boundary, behind a full PageRank that starts 10 ticks earlier and runs
+// across the boundary.
+TEST(StreamScheduler, DrainAppliesBatchesThatFallDueWhileQueriesRun) {
+  Machine m(MachineConfig::scaled(2));
+  const Graph base = rmat(7, {}, 9);
+  StreamOptions opt;
+  opt.pr_iterations = 2;
+  opt.epoch = 300'000;
+  auto& se = StreamEngine::install(m, base, opt);
+  auto& eng = serve::QueryEngine::install(m);
+  se.warm();
+  serve::Scheduler sched(eng, {.max_concurrent = 1, .max_queue = 32});
+
+  struct Step {
+    Tick boundary;
+    serve::TicketId pre, inc_pr, inc_bfs, read;
+    serve::MutationId mu;
+  };
+  const auto submit_batch = [&](Tick boundary, const std::vector<tform::EdgeRecord>& recs) {
+    Step st{boundary, 0, 0, 0, 0, 0};
+    st.pre = sched.submit(se.full_pagerank_spec(), serve::QoS::kNormal, boundary - 60);
+    st.mu = se.submit(sched, recs, boundary - 50);
+    st.inc_pr = sched.submit(se.inc_pagerank_spec(), serve::QoS::kNormal, boundary - 49);
+    st.inc_bfs = sched.submit(se.inc_bfs_spec(), serve::QoS::kNormal, boundary - 48);
+    // A BFS with its own arrays on the live graph: the only result of this
+    // epoch that later epochs' refreshes do not overwrite.
+    serve::QuerySpec read;
+    read.kind = serve::QueryKind::kBfs;
+    read.graph = se.resident().fwd;
+    read.root = opt.bfs_root;
+    read.name = "read@" + std::to_string(boundary);
+    st.read = sched.submit(std::move(read), serve::QoS::kNormal, boundary - 47);
+    return st;
+  };
+  const auto first_boundary = [&] { return (m.now() / opt.epoch + 2) * opt.epoch; };
+  const auto check = [&](const std::vector<Step>& steps, const std::vector<Graph>& versions) {
+    Tick prev_apply = 0;
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+      const Step& st = steps[k];
+      ASSERT_TRUE(sched.mutation_applied(st.mu)) << "batch " << k;
+      const Tick applied = sched.mutation_applied_tick(st.mu);
+      const serve::Ticket& pre = sched.ticket(st.pre);
+      // The shape under test: the batch fell due mid-query.
+      EXPECT_LT(pre.dispatch, st.boundary) << "batch " << k;
+      EXPECT_GT(pre.done, st.boundary) << "batch " << k;
+      EXPECT_LE(pre.done, applied) << "batch " << k;
+      EXPECT_GT(applied, prev_apply) << "batch " << k;
+      prev_apply = applied;
+      for (const serve::TicketId t : {st.pre, st.inc_pr, st.inc_bfs, st.read})
+        EXPECT_EQ(sched.ticket(t).status, serve::TicketStatus::kDone) << "batch " << k;
+      for (const serve::TicketId t : {st.inc_pr, st.inc_bfs, st.read})
+        EXPECT_GE(sched.ticket(t).dispatch, applied) << "batch " << k;
+      EXPECT_EQ(eng.collect(sched.ticket(st.read).query).dist,
+                baseline::bfs(versions[k + 1], opt.bfs_root).dist)
+          << "batch " << k;
+    }
+    // The last refresh owns the resident arrays: bit-exact against
+    // from-scratch PageRank and BFS on the final graph.
+    const Step& last = steps.back();
+    expect_rank_bits(eng.collect(sched.ticket(last.inc_pr).query).rank,
+                     baseline::pagerank(versions.back(), opt.pr_iterations),
+                     "incremental pagerank");
+    EXPECT_EQ(eng.collect(sched.ticket(last.inc_bfs).query).dist,
+              baseline::bfs(versions.back(), opt.bfs_root).dist);
+  };
+
+  std::vector<Graph> versions{base};
+  {  // One batch.
+    const auto recs = delta_recs(base.num_vertices(), 20, 101);
+    versions.push_back(apply_delta(versions.back(), recs));
+    const std::vector<Step> steps{submit_batch(first_boundary(), recs)};
+    sched.drain();
+    check(steps, {versions.end() - 2, versions.end()});
+  }
+  {  // Three batches, one drain.
+    std::vector<Step> steps;
+    Tick boundary = first_boundary();
+    const std::size_t from = versions.size() - 1;
+    for (std::uint64_t k = 0; k < 3; ++k, boundary += 3 * opt.epoch) {
+      const auto recs = delta_recs(base.num_vertices(), 20, 202 + k);
+      versions.push_back(apply_delta(versions.back(), recs));
+      steps.push_back(submit_batch(boundary, recs));
+    }
+    sched.drain();
+    check(steps, {versions.begin() + static_cast<std::ptrdiff_t>(from), versions.end()});
+  }
+  EXPECT_EQ(se.graph().epochs(), 4u);
 }
 
 }  // namespace
