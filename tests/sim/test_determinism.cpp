@@ -343,5 +343,89 @@ TEST(Determinism, BfsGoldenCounts) {
   EXPECT_EQ(r.traversed_edges, 9514u);
 }
 
+// The triangle-count app and the serve-layer BFS / triangle queries share
+// kernels with other callers; these goldens pin their ticks and counts so a
+// refactor of the shared code cannot move them unnoticed.
+TEST(Determinism, TriangleCountGoldenCounts) {
+  EXPECT_EQ(run_tc(), (RunFingerprint{.done = 13995,
+                                      .events = 36621,
+                                      .messages = 36621,
+                                      .message_bytes = 2643664,
+                                      .cross_node = 17557,
+                                      .dram_reads = 33356,
+                                      .dram_writes = 64,
+                                      .dram_bytes = 1995728,
+                                      .remote_dram = 16238,
+                                      .threads_created = 2688,
+                                      .threads_destroyed = 2688,
+                                      .charged = 439030,
+                                      .result = 11096}));
+}
+
+/// A solo whole-machine serve query on the BfsGoldenCounts graph (root 1),
+/// driven to global drain. The fingerprint's result is the query's shuffle
+/// volume.
+RunFingerprint run_serve_solo(serve::QueryKind kind, serve::QueryResult& r) {
+  EnvGuard g1("UD_SHARDS", nullptr);
+  EnvGuard g2("UD_CHECK", "0");
+  EnvGuard g3("UD_COALESCE", "1");
+  Machine m(MachineConfig::scaled(4));
+  Graph g = rmat(9, {.symmetrize = true}, 13);
+  DeviceGraph dg = upload_graph(m, g);
+  auto& eng = serve::QueryEngine::install(m);
+  serve::QuerySpec s;
+  s.kind = kind;
+  s.graph = &dg;
+  s.root = 1;
+  s.name = "golden";
+  const serve::QueryId q = eng.add_query(s);
+  eng.launch(q);
+  m.run();
+  EXPECT_TRUE(eng.done(q));
+  r = eng.collect(q);
+  return fingerprint(m, r.done_tick, r.emitted);
+}
+
+TEST(Determinism, ServeBfsGoldenCounts) {
+  serve::QueryResult r;
+  const RunFingerprint f = run_serve_solo(serve::QueryKind::kBfs, r);
+  EXPECT_EQ(r.rounds, 4u);
+  EXPECT_EQ(r.emitted, 9514u);
+  EXPECT_EQ(f, (RunFingerprint{.done = 28321,
+                               .events = 18544,
+                               .messages = 18544,
+                               .message_bytes = 703176,
+                               .cross_node = 9934,
+                               .dram_reads = 1888,
+                               .dram_writes = 459,
+                               .dram_bytes = 109224,
+                               .remote_dram = 1131,
+                               .threads_created = 12863,
+                               .threads_destroyed = 12863,
+                               .charged = 122336,
+                               .result = 9514}));
+}
+
+TEST(Determinism, ServeTrianglesGoldenCounts) {
+  serve::QueryResult r;
+  const RunFingerprint f = run_serve_solo(serve::QueryKind::kTriangles, r);
+  EXPECT_EQ(r.rounds, 1u);
+  EXPECT_EQ(r.emitted, 4757u);
+  EXPECT_EQ(r.count, 29148u);
+  EXPECT_EQ(f, (RunFingerprint{.done = 24488,
+                               .events = 104330,
+                               .messages = 104330,
+                               .message_bytes = 7744800,
+                               .cross_node = 76486,
+                               .dram_reads = 97132,
+                               .dram_writes = 128,
+                               .dram_bytes = 5938592,
+                               .remote_dram = 72060,
+                               .threads_created = 5915,
+                               .threads_destroyed = 5915,
+                               .charged = 1308537,
+                               .result = 4757}));
+}
+
 }  // namespace
 }  // namespace updown
