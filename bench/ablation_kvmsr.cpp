@@ -183,7 +183,7 @@ int main() {
   }
   json.end();
   json.close();
-  if (std::getenv("UD_BENCH_ENFORCE")) {
+  if (bench::enforcing()) {
     // The uniform-key workload spreads each lane's tuples over every
     // destination, so the floor here is a modest 2x (the >=4x density claim
     // is enforced on PageRank's edge traffic in fig9_pagerank).

@@ -4,22 +4,49 @@
 // normalized to the 1-node configuration, plus absolute rates). Machine
 // sizes and graph scales are reduced to what one host core simulates in
 // seconds; set UD_BENCH_SCALE=1|2|3 to enlarge (2 roughly quadruples the
-// work, 3 is a long run).
+// work, 3 is a long run). UD_BENCH_ENFORCE turns a bench's floors into exit
+// codes (see enforce_mode()).
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/types.hpp"
 
 namespace updown::bench {
 
-inline int scale_level() {
-  const char* env = std::getenv("UD_BENCH_SCALE");
-  return env ? std::atoi(env) : 1;
+/// UD_BENCH_SCALE: 1 (default, also for unset, empty or 0), 2 or 3; anything
+/// else throws std::invalid_argument.
+inline int scale_level() { return static_cast<int>(env_u64("UD_BENCH_SCALE", 1, 3)); }
+
+/// Which floors a bench turns into a failing exit code.
+enum class Enforce {
+  kOff,     ///< report only
+  kRatios,  ///< box-independent gates (ratios, simulated-time floors)
+  kAll,     ///< also absolute host-throughput floors of the reference box
+};
+
+/// UD_BENCH_ENFORCE: unset, empty or "0" = off, "ratios" = ratio gates only,
+/// "1" = every floor. Anything else throws std::invalid_argument, so a typo
+/// cannot silently enable or disable a gate.
+inline Enforce enforce_mode() {
+  const char* v = std::getenv("UD_BENCH_ENFORCE");
+  if (v && std::string_view(v) == "ratios") return Enforce::kRatios;
+  try {
+    return env_u64("UD_BENCH_ENFORCE", 0, 1) == 1 ? Enforce::kAll : Enforce::kOff;
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument(std::string("UD_BENCH_ENFORCE='") + v +
+                                "': expected unset, 0, 1 or ratios");
+  }
 }
+
+/// True when any floor is enforced.
+inline bool enforcing() { return enforce_mode() != Enforce::kOff; }
 
 /// Node counts for strong-scaling sweeps at the current scale level.
 inline std::vector<std::uint32_t> node_sweep() {

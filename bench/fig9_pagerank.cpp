@@ -203,7 +203,7 @@ int main() {
     json.num("cycle_speedup", cycle_gain);
   }
 
-  if (std::getenv("UD_BENCH_ENFORCE")) {
+  if (bench::enforcing()) {
     if (msg_ratio < 4.0) {
       std::fprintf(stderr,
                    "fig9_pagerank: FAIL: coalesce=16 cut cross-node shuffle messages "

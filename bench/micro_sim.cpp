@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "bench/bench_util.hpp"
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
@@ -393,14 +394,13 @@ int throughput_report() {
   const char* trace_env = std::getenv("UD_TRACE");
   const bool tracing = trace_env && *trace_env;
   // Two enforcement tiers: "ratios" binds only box-independent checks (the
-  // checker-cost ceiling and the shard-speedup floor), anything else binds
-  // the absolute events/s floor too. The absolute floor compares against the
+  // checker-cost ceiling and the shard-speedup floor), "1" binds the
+  // absolute events/s floor too. The absolute floor compares against the
   // reference box and trips on any slower machine, so CI runners use
   // UD_BENCH_ENFORCE=ratios.
-  const char* enforce_env = std::getenv("UD_BENCH_ENFORCE");
-  const bool enforce_ratios = enforce_env != nullptr;
-  const bool enforce_absolute =
-      enforce_env != nullptr && std::string(enforce_env) != "ratios";
+  const bench::Enforce enforce = bench::enforce_mode();
+  const bool enforce_ratios = enforce != bench::Enforce::kOff;
+  const bool enforce_absolute = enforce == bench::Enforce::kAll;
   if (tracing && enforce_ratios)
     std::printf("UD_TRACE is set: skipping UD_BENCH_ENFORCE throughput floors "
                 "(trace-on runs are not baselines)\n");

@@ -249,7 +249,7 @@ int main() {
 
   if (!fingerprints_identical) return 1;  // always fatal: determinism is the contract
 
-  if (std::getenv("UD_BENCH_ENFORCE")) {
+  if (bench::enforcing()) {
     const SizePoint& big = points.back();
     if (big.idle_bytes_per_lane > 512) {
       std::fprintf(stderr,

@@ -202,7 +202,7 @@ int main() {
     std::fprintf(stderr, "FAIL: overload point rejected nothing — admission bound idle\n");
     return 1;
   }
-  if (std::getenv("UD_BENCH_ENFORCE") && std::thread::hardware_concurrency() >= 4) {
+  if (bench::enforcing() && std::thread::hardware_concurrency() >= 4) {
     if (speedup < 1.5) {
       std::fprintf(stderr, "FAIL: 4-slot concurrent throughput %.2fx serial (floor 1.5x)\n",
                    speedup);

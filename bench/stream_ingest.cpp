@@ -143,7 +143,7 @@ int main() {
   }
   // The cost claim: re-ranking the delta frontier must be materially cheaper
   // than a full recompute for a <= 1% batch.
-  if (std::getenv("UD_BENCH_ENFORCE")) {
+  if (bench::enforcing()) {
     if (pr_speedup < 3.0) {
       std::fprintf(stderr,
                    "FAIL: incremental pagerank only %.2fx cheaper than full (floor 3x)\n",

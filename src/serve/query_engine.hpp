@@ -18,24 +18,26 @@
 //   kPageRank  — push PageRank, `iterations` synchronous sweeps (propagate
 //                job with f64 combining + apply job per sweep, chained by the
 //                driver exactly like apps/pagerank).
-//   kBfs       — level-synchronous BFS: one KVMSR job launch per round over
-//                the whole key range; frontier membership is lane-local
-//                scratchpad state modeled host-side (per-query flag vectors),
-//                distances land in a per-query DRAM array.
+//   kBfs       — BFS as monotone frontier repair: one KVMSR job launch per
+//                round over the whole key range; the frontier (lane-local
+//                scratchpad state modeled host-side) holds each member's
+//                level, and a reduce lowers a vertex's level only if the
+//                tuple improves it. Without `resident` it is a
+//                level-synchronous BFS from `root` into query-owned levels.
+//                With `resident` it refreshes the streaming session's levels
+//                in place: Seeds::kAll recomputes from `root`, Seeds::kPending
+//                repairs from the delta-touched sources.
 //   kPathCount — 2-hop path count (#{(a,b,c): a->b->c}), the PartialMatch
 //                stand-in: a two-edge pattern-matching query in one
 //                map+reduce pass (cf. apps/partial_match).
-//   kTriangles — triangle count, the tc app's stream-intersect reduce.
+//   kTriangles — triangle count: the tc app's kernel (apps/tc.hpp) bound to
+//                the query's graph and count cells.
 //   kIncPageRank — incremental PageRank refresh over a streaming ResidentState
 //                (src/stream/): re-ranks only the delta-affected frontier, one
 //                pull sweep per round against the resident rank history, each
 //                round's affected set expanded host-side by the driver. Writes
 //                land in the SAME rank_hist arrays a from-scratch pull sweep
 //                would produce, so results are bit-equal to full recomputation.
-//   kIncBfs    — incremental BFS frontier repair: seeded from delta-touched
-//                sources, relaxes `dist` monotonically downward until no
-//                vertex improves. With Seeds::kAll it doubles as the full BFS
-//                that warms the resident state.
 //
 // Results are value-deterministic for a fixed machine + shard count; queries
 // whose lane partition, graph copy, and value arrays are confined to a
@@ -50,6 +52,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "apps/tc.hpp"
 #include "graph/layout.hpp"
 #include "kvmsr/combining_cache.hpp"
 #include "kvmsr/kvmsr.hpp"
@@ -65,7 +68,6 @@ enum class QueryKind : std::uint8_t {
   kPathCount,
   kTriangles,
   kIncPageRank,
-  kIncBfs,
 };
 
 const char* kind_name(QueryKind k);
@@ -107,15 +109,15 @@ struct QuerySpec {
   double damping = 0.85;         ///< PageRank damping factor
   VertexId root = 0;             ///< BFS root
   std::uint32_t coalesce_tuples = 1;  ///< forwarded to the shuffle jobs
-  /// kIncPageRank / kIncBfs only: the streaming session state the query
+  /// kIncPageRank / kBfs only: the streaming session state the query
   /// refreshes. When set and `graph` is null, the engine fills graph from it
-  /// (rev for kIncPageRank, fwd for kIncBfs). `iterations` must equal
+  /// (rev for kIncPageRank, fwd for kBfs). `iterations` must equal
   /// rank_hist.size() for kIncPageRank.
   ResidentState* resident = nullptr;
   /// Incremental seed policy. kPending consumes (moves and clears) the
   /// resident dirty set at add_query — so register the refresh query AFTER
   /// the epoch's compaction has run. kAll seeds every vertex (kIncPageRank)
-  /// or just `root` with dist reset (kIncBfs) — the warm-up / full-recompute
+  /// or just `root` with dist reset (kBfs) — the warm-up / full-recompute
   /// mode.
   enum class Seeds : std::uint8_t { kPending, kAll };
   Seeds seeds = Seeds::kPending;
@@ -163,8 +165,8 @@ class QueryEngine {
   /// threads, udcheck-clean. Host-side only.
   void cancel(QueryId q);
 
-  /// Read back results; valid once done(q). kIncPageRank / kIncBfs results
-  /// are read from the LIVE resident arrays the query refreshed — collect
+  /// Read back results; valid once done(q). kIncPageRank and resident kBfs
+  /// results are read from the LIVE resident arrays the query refreshed — collect
   /// them before a later epoch's refresh overwrites that state.
   QueryResult collect(QueryId q) const;
 
@@ -202,12 +204,9 @@ class QueryEngine {
   friend struct SqPrMap;
   friend struct SqPrReduce;
   friend struct SqPrApply;
-  friend struct SqBfsMap;
-  friend struct SqBfsReduce;
   friend struct SqPcMap;
   friend struct SqPcReduce;
-  friend struct SqTcMap;
-  friend struct SqTcReduce;
+  friend struct SqTcSite;
   friend struct SqIprMap;
   friend struct SqIbfsMap;
   friend struct SqIbfsReduce;
@@ -221,24 +220,28 @@ class QueryEngine {
     // Per-query device arrays.
     Addr rank_base = 0;   ///< PR ranks (f64 per vertex)
     Addr acc_base = 0;    ///< PR accumulators (f64 per vertex)
-    Addr dist_base = 0;   ///< BFS levels (word per vertex)
+    Addr dist_base = 0;   ///< BFS levels (resident or query-owned)
     Addr cells_base = 0;  ///< PC/TC per-partition-lane count cells
-    // BFS lane-local frontier state, modeled host-side like apps/bfs: cur is
-    // read by map tasks, nxt written by reduce tasks, swapped by the driver
-    // between rounds (ordered by the round's message chain).
-    std::vector<char> frontier[2];
-    std::vector<char> visited;
-    // kIncPageRank: visited, as a compact ascending list. The sweep job
-    // launches keys [0, alist.size()) and maps key -> alist[key], so a
-    // sweep's KVMSR cost scales with the affected set, not num_vertices.
-    std::vector<VertexId> alist;
+    // BFS level mirror read by the reduce's improve test (the scratchpad
+    // copy on each vertex's hash-owner lane, modeled host-side): the
+    // resident mirror, or own_dist for a query-owned dist_base.
+    std::vector<Word>* dist = nullptr;
+    std::vector<Word> own_dist;
+    // BFS lane-local frontier state, modeled host-side like apps/bfs:
+    // frontier[b][v] is v's level while v is in that frontier, else
+    // kInfDist. cur is read by map tasks, nxt written by reduce tasks,
+    // swapped by the driver between rounds (ordered by the round's message
+    // chain).
+    std::vector<Word> frontier[2];
     unsigned cur_buf = 0;
-    std::uint64_t seeded = 0;  ///< incremental: initial frontier size
-    // kIncBfs per-round level snapshot: levels[v] = resident dist[v] at the
-    // round boundary, refreshed by the driver between rounds so map tasks
-    // never race the reduce-side dist updates within a round.
-    std::vector<Word> levels;
-    std::atomic<std::uint64_t> added{0};  ///< vertices discovered this round
+    std::atomic<std::uint64_t> added{0};  ///< BFS level improvements this round
+    // kIncPageRank affected flags, and the same set as a compact ascending
+    // list. The sweep job launches keys [0, alist.size()) and maps key ->
+    // alist[key], so a sweep's KVMSR cost scales with the affected set, not
+    // num_vertices.
+    std::vector<char> visited;
+    std::vector<VertexId> alist;
+    std::uint64_t seeded = 0;  ///< kBfs / kIncPageRank: initial frontier size
     // Driver-owned progress (host-visible once published at a pause point).
     std::uint64_t round = 0;
     std::uint64_t emitted = 0;
@@ -247,6 +250,10 @@ class QueryEngine {
     bool launched = false;
     bool finished = false;
     bool cancel = false;  ///< host set; driver checks at round boundaries
+
+    Addr lane_cell(NetworkId lane) const {
+      return cells_base + static_cast<Addr>(lane - rlanes.first) * 8;
+    }
   };
 
   Query& query_of_job(kvmsr::JobId j) { return *queries_.at(job2query_.at(j)); }
@@ -265,31 +272,31 @@ class QueryEngine {
   struct Labels {
     EventLabel d_pr_prop_done = 0;
     EventLabel d_pr_apply_done = 0;
-    EventLabel d_bfs_round_done = 0;
     EventLabel d_pass_done = 0;  ///< kPathCount / kTriangles single pass
+    EventLabel pr_map = 0;
+    EventLabel pr_reduce = 0;
+    EventLabel pr_apply = 0;
     EventLabel pr_rec = 0;
     EventLabel pr_rank = 0;
     EventLabel pr_nbrs = 0;
     EventLabel pr_acc = 0;
     EventLabel pr_written = 0;
-    EventLabel bfs_rec = 0;
-    EventLabel bfs_nbrs = 0;
-    EventLabel bfs_written = 0;
+    EventLabel pc_map = 0;
+    EventLabel pc_reduce = 0;
     EventLabel pc_rec = 0;
     EventLabel pc_nbrs = 0;
     EventLabel pc_deg = 0;
-    EventLabel tc_rec = 0;
-    EventLabel tc_nbrs = 0;
-    EventLabel tc_rrec = 0;
-    EventLabel tc_xchunk = 0;
-    EventLabel tc_ychunk = 0;
+    tc::KernelLabels tc;
     EventLabel d_ipr_round_done = 0;
     EventLabel d_ibfs_round_done = 0;
+    EventLabel ipr_map = 0;
     EventLabel ipr_rrec = 0;
     EventLabel ipr_ids = 0;
     EventLabel ipr_deg = 0;
     EventLabel ipr_rank = 0;
     EventLabel ipr_written = 0;
+    EventLabel ibfs_map = 0;
+    EventLabel ibfs_reduce = 0;
     EventLabel ibfs_rec = 0;
     EventLabel ibfs_nbrs = 0;
     EventLabel ibfs_written = 0;

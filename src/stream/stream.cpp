@@ -162,7 +162,7 @@ serve::QuerySpec StreamEngine::inc_pagerank_spec() {
 }
 
 serve::QuerySpec StreamEngine::inc_bfs_spec() {
-  auto s = base_spec(serve::QueryKind::kIncBfs, "ibfs");
+  auto s = base_spec(serve::QueryKind::kBfs, "ibfs");
   s.seeds = serve::QuerySpec::Seeds::kPending;
   return s;
 }
@@ -174,7 +174,7 @@ serve::QuerySpec StreamEngine::full_pagerank_spec() {
 }
 
 serve::QuerySpec StreamEngine::full_bfs_spec() {
-  auto s = base_spec(serve::QueryKind::kIncBfs, "bfs");
+  auto s = base_spec(serve::QueryKind::kBfs, "bfs");
   s.seeds = serve::QuerySpec::Seeds::kAll;
   return s;
 }

@@ -1,7 +1,7 @@
 // Streaming graph session (ROADMAP item 3): a DeltaGraph wrapping the
 // resident CSR, a TFORM/KVMSR ingestion front-end that parses edge-record
 // streams into staged delta batches while queries run, and incremental
-// analytics (kIncPageRank / kIncBfs) that refresh resident device arrays
+// analytics (kIncPageRank, resident kBfs) that refresh resident device arrays
 // after each compaction epoch.
 //
 // Lifecycle:

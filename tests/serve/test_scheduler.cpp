@@ -160,6 +160,24 @@ TEST(ServeQueries, SpecValidationRejectsBadInput) {
   EXPECT_THROW(eng.add_query(s), std::invalid_argument);
 }
 
+TEST(ServeQueries, AddQueryRegistersNoEventLabels) {
+  // The engine registers every handler once; a query that registered its own
+  // would exhaust the 12-bit label space after ~2,000 queries per machine.
+  Machine m(MachineConfig::scaled(1));
+  Graph g = rmat(6, {.symmetrize = true}, 3);
+  DeviceGraph dg = upload_graph(m, g);
+  auto& eng = QueryEngine::install(m);
+  const std::size_t labels = m.program().size();
+  for (const QueryKind k : {QueryKind::kPageRank, QueryKind::kBfs, QueryKind::kPathCount,
+                            QueryKind::kTriangles}) {
+    QuerySpec s;
+    s.kind = k;
+    s.graph = &dg;
+    eng.add_query(s);
+  }
+  EXPECT_EQ(m.program().size(), labels);
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent jobs: disjoint key-spaces, per-job quiescence, isolation.
 // ---------------------------------------------------------------------------
