@@ -1,6 +1,7 @@
 #include "apps/bfs.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace updown::bfs {
@@ -220,11 +221,13 @@ struct BfsReduce : ThreadState {
     const Word dist = kvmsr::Library::reduce_val(ctx, 0);
     const Word parent = kvmsr::Library::reduce_val(ctx, 1);
 
-    ctx.charge(2);  // scratchpad visited-set test-and-set
-    if (!app.visited_[ctx.nwid()].insert(v).second) {
+    ctx.charge(2);  // scratchpad visited-flag test-and-set
+    assert(v < app.visited_.size());
+    if (app.visited_[v]) {
       lib.reduce_return(ctx, static_cast<kvmsr::JobId>(job));
       return;
     }
+    app.visited_[v] = 1;
     app.added_++;
     std::uint32_t& fill = app.nxt_count_[ctx.nwid()];
     if (fill >= app.slice_cap_)
@@ -337,7 +340,7 @@ App::App(Machine& m, const DeviceGraph& dg, const Options& opt) : m_(m), dg_(dg)
 
   cur_count_.assign(lanes, 0);
   nxt_count_.assign(lanes, 0);
-  visited_.assign(lanes, {});
+  visited_.assign(dg.num_vertices, 0);
 
   kvmsr::JobSpec spec;
   spec.kv_map = p.event("bfs::kv_map", &BfsAccelMaster::kv_map);
@@ -353,7 +356,7 @@ App::App(Machine& m, const DeviceGraph& dg, const Options& opt) : m_(m), dg_(dg)
   const NetworkId seed_lane = static_cast<NetworkId>(hash64(opt.root) % lanes);
   cur_count_[seed_lane] = 1;
   m.memory().host_store<Word>(slice_addr(0, seed_lane), opt.root);
-  visited_[seed_lane].insert(opt.root);
+  visited_[opt.root] = 1;
   m.memory().host_store<Word>(dg_.field_addr(opt.root, DeviceGraph::kDist), 0);
   m.memory().host_store<Word>(dg_.field_addr(opt.root, DeviceGraph::kParent), opt.root);
 }

@@ -14,7 +14,7 @@
 //   - Scan subtasks spawn one expand task per frontier vertex; expands read
 //     the vertex record and neighbor list and emit <neighbor, dist, parent>
 //     tuples. kv_reduce tasks land on hash(vertex) lanes, test-and-set a
-//     lane-owned visited set (scratchpad), write dist/parent into the vertex
+//     lane-owned visited flag (scratchpad), write dist/parent into the vertex
 //     record, and append fresh vertices to their own lane's next-frontier
 //     slice.
 //   - A driver thread chains rounds via KVMSR continuations and terminates
@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/layout.hpp"
@@ -89,10 +88,16 @@ class App {
   std::uint64_t round_ = 0;
 
   // Lane-local scratchpad state, modeled host-side with charged access costs:
-  // frontier slice fill counts and the visited test-and-set sets.
+  // frontier slice fill counts and the visited test-and-set flags.
   std::vector<std::uint32_t> cur_count_;
   std::vector<std::uint32_t> nxt_count_;
-  std::vector<std::unordered_set<VertexId>> visited_;
+  // One visited flag per vertex. Vertex v is only ever tested on its reduce
+  // lane hash64(v) % lanes (the root's seed lane too), so this flat array is
+  // the union of the per-lane scratchpad sets, and each flag has exactly one
+  // writing shard. The flags are bytes, not vector<bool>: neighbouring
+  // vertices hash to lanes on different shards, and bits packed into one
+  // word would make their concurrent test-and-sets a data race.
+  std::vector<std::uint8_t> visited_;
   // Bumped by reduce tasks on many lanes (= many shards); read only after
   // the round's gather, which is ordered by a happens-before message chain.
   std::atomic<std::uint64_t> added_{0};

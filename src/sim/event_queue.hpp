@@ -169,6 +169,15 @@ class CalendarEventQueue {
     return advance_to_min().back().t;
   }
 
+  /// The entry the next pop() will return, when the bucket under the cursor
+  /// is already sorted and non-empty; nullptr otherwise (the next pop must
+  /// sort or advance first). A hint only: a later push may splice a smaller
+  /// entry in front. The engine uses it to prefetch the next payload.
+  const QEntry* peek_next() const {
+    const auto& b = buckets_[cur_vidx_ & mask_];
+    return cur_sorted_ && !b.empty() ? &b.back() : nullptr;
+  }
+
   struct Stats {
     std::uint64_t far_events = 0;   ///< pushes that overflowed to the far heap
     std::uint64_t bucket_sorts = 0; ///< lazy bucket sorts performed

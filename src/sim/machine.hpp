@@ -291,6 +291,11 @@ class Machine {
                      Message&& m, Tick depart, const Word* bulk = nullptr);
   void route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
                   DramRequest&& r, Tick depart);
+  /// Pop, execute and recycle the minimum entry of `sh`'s queue — the one
+  /// event loop body shared by step() and run_shard(). Before running the
+  /// handler it prefetches the payload of the entry after it (the queue's
+  /// peek_next() hint). Precondition: !sh.queue.empty().
+  void dispatch(EngineShard& sh);
   void exec_message(EngineShard& sh, const QEntry& e);
   void exec_dram(EngineShard& sh, const QEntry& e);
   /// Run `m`'s handler synchronously on the current lane, bypassing the

@@ -1,6 +1,8 @@
 #include "tform/fst.hpp"
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace updown::tform {
 
@@ -21,32 +23,46 @@ Fst Fst::csv() {
   return f;
 }
 
+namespace {
+[[noreturn]] void fail(const std::string& what, std::size_t offset) {
+  throw std::runtime_error("tform: " + what + " at offset " + std::to_string(offset));
+}
+}  // namespace
+
 std::size_t Fst::run(std::span<const std::uint8_t> bytes, Cursor& cur,
                      const RecordFn& on_record) const {
+  constexpr Word kMax = std::numeric_limits<Word>::max();
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     const Transition t = table_[cur.state][bytes[i]];
     switch (t.action) {
       case kNone:
         break;
-      case kAccumulate:
-        cur.current = cur.current * 10 + (bytes[i] - '0');
+      case kAccumulate: {
+        const Word d = bytes[i] - '0';
+        if (cur.current > (kMax - d) / 10) fail("field overflows 64 bits", i);
+        cur.current = cur.current * 10 + d;
+        cur.digits = true;
         cur.mid_record = true;
         break;
+      }
       case kEndField:
+        if (!cur.digits) fail("empty field", i);
         cur.fields.push_back(cur.current);
         cur.current = 0;
+        cur.digits = false;
         cur.mid_record = true;
         break;
       case kEndRecord:
+        if (!cur.digits) fail("empty field", i);
         cur.fields.push_back(cur.current);
         cur.current = 0;
+        cur.digits = false;
         on_record(cur.fields);
         cur.fields.clear();
         cur.mid_record = false;
         break;
       case kError:
-        throw std::runtime_error("tform: unexpected byte " + std::to_string(bytes[i]) +
-                                 " at offset " + std::to_string(i));
+        fail("unexpected byte " + std::to_string(bytes[i]), i);
     }
     cur.state = t.next;
   }

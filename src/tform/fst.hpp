@@ -43,7 +43,8 @@ class Fst {
   };
 
   /// Numeric CSV records: decimal fields separated by ',', records
-  /// terminated by '\n'; trailing spaces (padding) are skipped.
+  /// terminated by '\n'; trailing spaces (padding) are skipped. Every field
+  /// needs at least one digit and must fit in a Word.
   static Fst csv();
 
   /// Resumable parse state.
@@ -52,12 +53,16 @@ class Fst {
     Word current = 0;
     std::vector<Word> fields;
     bool mid_record = false;  ///< bytes consumed since the last record end
+    bool digits = false;      ///< the current field has at least one digit
   };
 
   using RecordFn = std::function<void(const std::vector<Word>& fields)>;
 
   /// Feed `bytes` through the transducer; `on_record` fires per completed
-  /// record. Returns the number of bytes consumed (all, unless kError).
+  /// record. Returns the number of bytes consumed (always all of them).
+  /// Throws std::runtime_error naming the offset into `bytes` on a byte the
+  /// table rejects, on a field whose value overflows a Word, and on an empty
+  /// field (a ',' or '\n' with no digit since the last terminator).
   std::size_t run(std::span<const std::uint8_t> bytes, Cursor& cur, const RecordFn& on_record) const;
 
   /// Convenience: parse a whole buffer from a fresh cursor.

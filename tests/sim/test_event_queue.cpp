@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -54,6 +55,76 @@ TEST(CalendarEventQueue, PeekTickMatchesPop) {
     const Tick peeked = q.peek_tick();
     EXPECT_EQ(q.pop().t, peeked);
   }
+}
+
+TEST(CalendarEventQueue, PeekNextMatchesPop) {
+  // peek_next() is the engine's prefetch hint: whenever it is non-null and
+  // no push comes first, it names exactly the entry pop() returns next, and
+  // it is null once the bucket under the cursor is empty. A shadow model
+  // tracks every live entry's bucket (past-due pushes clamp to the cursor's
+  // bucket) and the cursor, which sits on the bucket of the last pop.
+  constexpr unsigned kWidthLog2 = 2, kBucketsLog2 = 3;
+  constexpr std::uint64_t kBuckets = 1u << kBucketsLog2;
+  CalendarEventQueue q(kWidthLog2, kBucketsLog2);
+  struct Shadow {
+    QEntry e;
+    std::uint64_t vidx;
+  };
+  std::vector<Shadow> live;
+  std::uint64_t cursor = 0;
+  Tick now = 0;
+  std::uint32_t seq = 0;
+  int hits = 0, splices = 0, jumps = 0;
+  Xoshiro256 rng(1234);
+
+  const auto push = [&](Tick t) {
+    const QEntry e{t, static_cast<std::uint32_t>(rng() % 4), seq, seq, 0};
+    ++seq;
+    const std::uint64_t vidx = std::max<std::uint64_t>(t >> kWidthLog2, cursor);
+    if (vidx == cursor && q.peek_next()) ++splices;  // into the sorted active bucket
+    q.push(e);
+    live.push_back({e, vidx});
+  };
+  const auto before = [](const Shadow& a, const Shadow& b) {
+    return std::tie(a.e.t, a.e.src, a.e.seq) < std::tie(b.e.t, b.e.src, b.e.seq);
+  };
+
+  for (int step = 0; step < 50000; ++step) {
+    if (live.empty() || rng() % 100 < 45) {
+      const std::uint64_t kind = rng() % 20;
+      if (kind == 0) push(now + (kBuckets << kWidthLog2) + rng() % 500);  // far heap
+      else if (kind == 1) push(now - std::min<Tick>(now, rng() % 8));     // past due
+      else push(now + rng() % 12);  // near future, often the active bucket
+      continue;
+    }
+    const QEntry* hint = q.peek_next();
+    const bool hinted = hint != nullptr;
+    const QEntry h = hinted ? *hint : QEntry{};
+    const QEntry got = q.pop();
+
+    const auto min_it = std::min_element(live.begin(), live.end(), before);
+    ASSERT_EQ(got.seq, min_it->e.seq) << "step " << step;
+    if (hinted) {
+      ++hits;
+      ASSERT_EQ(h.seq, got.seq) << "step " << step;
+      ASSERT_EQ(h.t, got.t) << "step " << step;
+    }
+    if (min_it->vidx - cursor >= kBuckets) ++jumps;  // only an empty ring jumps
+    cursor = min_it->vidx;
+    now = std::max(now, got.t);
+    live.erase(min_it);
+
+    const bool active_empty = std::none_of(
+        live.begin(), live.end(), [&](const Shadow& s) { return s.vidx == cursor; });
+    if (active_empty) {
+      ASSERT_EQ(q.peek_next(), nullptr) << "step " << step;
+    }
+  }
+  // The walk must have exercised every path the hint has to survive.
+  EXPECT_GT(hits, 1000);
+  EXPECT_GT(splices, 100);
+  EXPECT_GT(jumps, 10);
+  EXPECT_GT(q.stats().far_events, 100u);
 }
 
 TEST(CalendarEventQueue, MixedTicksTotalOrder) {

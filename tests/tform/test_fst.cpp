@@ -42,6 +42,43 @@ TEST(Fst, RejectsGarbage) {
   EXPECT_THROW(Fst::csv().parse_all("1,x,3\n"), std::runtime_error);
 }
 
+// Parses `text` whole and split at every byte (two run() calls on one
+// cursor); every variant must throw std::runtime_error.
+void expect_rejected_at_every_split(const std::string& text) {
+  const Fst fst = Fst::csv();
+  EXPECT_THROW(fst.parse_all(text), std::runtime_error) << text;
+  const auto* data = reinterpret_cast<const std::uint8_t*>(text.data());
+  for (std::size_t split = 1; split < text.size(); ++split) {
+    Fst::Cursor cur;
+    auto cb = [](const std::vector<Word>&) {};
+    EXPECT_THROW(
+        {
+          fst.run({data, split}, cur, cb);
+          fst.run({data + split, text.size() - split}, cur, cb);
+        },
+        std::runtime_error)
+        << "split at " << split << " of " << text;
+  }
+}
+
+TEST(Fst, RejectsOverflowingField) {
+  // 2^64 + 1 wraps to 1 under unchecked `current * 10 + d`.
+  expect_rejected_at_every_split("18446744073709551617,2,1\n");
+  expect_rejected_at_every_split("1,2,99999999999999999999\n");
+  // The largest Word still parses.
+  const auto records = Fst::csv().parse_all("18446744073709551615,0,1\n");
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0][0], ~Word{0});
+}
+
+TEST(Fst, RejectsEmptyField) {
+  expect_rejected_at_every_split("1,,3\n");
+  expect_rejected_at_every_split(",2,3\n");
+  expect_rejected_at_every_split("1,2,\n");
+  expect_rejected_at_every_split("1,2,3\n\n");
+  expect_rejected_at_every_split("1,  ,3\n");  // padding is not a digit
+}
+
 TEST(Fst, ParseCostScalesWithBytes) {
   EXPECT_GT(parse_cost(4000), parse_cost(400));
   EXPECT_LE(parse_cost(4000), 4000u);  // faster than one cycle/byte
