@@ -7,19 +7,23 @@
 namespace updown::tform {
 
 Fst Fst::csv() {
+  // State 0: start of a field, a digit is required. State 1: inside the
+  // field's digits. State 2: padding run (spaces) before a terminator. Empty
+  // fields are the kError entries of state 0.
   Fst f;
-  // State 0: inside a field (start of record/field). State 1: padding run
-  // (spaces) before a terminator.
-  f.table_.resize(2);
-  for (unsigned s = 0; s < 2; ++s)
+  f.table_.resize(3);
+  for (unsigned s = 0; s < 3; ++s)
     for (unsigned c = 0; c < 256; ++c) f.table_[s][c] = {0, kError};
-  for (unsigned c = '0'; c <= '9'; ++c) f.table_[0][c] = {0, kAccumulate};
-  f.table_[0][','] = {0, kEndField};
-  f.table_[0]['\n'] = {0, kEndRecord};
-  f.table_[0][' '] = {1, kNone};
-  f.table_[1][' '] = {1, kNone};
-  f.table_[1]['\n'] = {0, kEndRecord};
+  for (unsigned c = '0'; c <= '9'; ++c) {
+    f.table_[0][c] = {1, kAccumulate};
+    f.table_[1][c] = {1, kAccumulate};
+  }
   f.table_[1][','] = {0, kEndField};
+  f.table_[1]['\n'] = {0, kEndRecord};
+  f.table_[1][' '] = {2, kNone};
+  f.table_[2][' '] = {2, kNone};
+  f.table_[2]['\n'] = {0, kEndRecord};
+  f.table_[2][','] = {0, kEndField};
   return f;
 }
 
@@ -41,22 +45,17 @@ std::size_t Fst::run(std::span<const std::uint8_t> bytes, Cursor& cur,
         const Word d = bytes[i] - '0';
         if (cur.current > (kMax - d) / 10) fail("field overflows 64 bits", i);
         cur.current = cur.current * 10 + d;
-        cur.digits = true;
         cur.mid_record = true;
         break;
       }
       case kEndField:
-        if (!cur.digits) fail("empty field", i);
         cur.fields.push_back(cur.current);
         cur.current = 0;
-        cur.digits = false;
         cur.mid_record = true;
         break;
       case kEndRecord:
-        if (!cur.digits) fail("empty field", i);
         cur.fields.push_back(cur.current);
         cur.current = 0;
-        cur.digits = false;
         on_record(cur.fields);
         cur.fields.clear();
         cur.mid_record = false;

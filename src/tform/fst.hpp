@@ -53,7 +53,6 @@ class Fst {
     Word current = 0;
     std::vector<Word> fields;
     bool mid_record = false;  ///< bytes consumed since the last record end
-    bool digits = false;      ///< the current field has at least one digit
   };
 
   using RecordFn = std::function<void(const std::vector<Word>& fields)>;
@@ -61,8 +60,9 @@ class Fst {
   /// Feed `bytes` through the transducer; `on_record` fires per completed
   /// record. Returns the number of bytes consumed (always all of them).
   /// Throws std::runtime_error naming the offset into `bytes` on a byte the
-  /// table rejects, on a field whose value overflows a Word, and on an empty
-  /// field (a ',' or '\n' with no digit since the last terminator).
+  /// table rejects and on a field whose value overflows a Word. An empty
+  /// field is a rejected byte: a ',' or '\n' where a field must start with a
+  /// digit.
   std::size_t run(std::span<const std::uint8_t> bytes, Cursor& cur, const RecordFn& on_record) const;
 
   /// Convenience: parse a whole buffer from a fresh cursor.

@@ -20,8 +20,16 @@
 // rate is per process, not per thread). Profile runs of several seconds.
 //
 // PCSAMPLE_OUT names the output file (default: pcsample.<pid>.txt in the
-// working directory). Timers do not survive fork(); a forked child is not
-// sampled.
+// working directory). Only the process started with the library preloaded is
+// sampled. The timer and the library both survive execve() (through
+// LD_PRELOAD), so a program reached through an exec chain, such as a wrapper
+// script that execs the real binary, is profiled as that same process. The
+// first constructor to run stores its pid in PCSAMPLE_PID; a process with
+// another pid, such as a shell from system() or any other child that inherits
+// the environment, does not sample and does not write the profile. A fork()ed
+// copy that exits without exec does not write it either. Under a wrapper
+// that forks (timeout, a shell running several commands) set LD_PRELOAD
+// inside it: `timeout 60 env LD_PRELOAD=... ./micro_sim`.
 #include <signal.h>
 #include <sys/time.h>
 #include <ucontext.h>
@@ -42,6 +50,7 @@ constexpr long kIntervalUs = 1000;  // requested; the kernel tick bounds the rat
 std::uintptr_t g_pcs[kMaxSamples];
 std::atomic<std::size_t> g_count{0};
 bool g_armed = false;
+pid_t g_pid = 0;  // the sampled process
 
 std::uintptr_t interrupted_pc(const void* uctx) {
   const auto* uc = static_cast<const ucontext_t*>(uctx);
@@ -63,6 +72,11 @@ void on_sigprof(int, siginfo_t*, void* uctx) {
 }
 
 __attribute__((constructor)) void pcsample_start() {
+  g_pid = getpid();
+  const std::string self = std::to_string(g_pid);
+  const char* owner = std::getenv("PCSAMPLE_PID");
+  if (owner && self != owner) return;  // a child of the sampled process
+  setenv("PCSAMPLE_PID", self.c_str(), 1);
   struct sigaction sa {};
   sa.sa_sigaction = on_sigprof;
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
@@ -73,7 +87,7 @@ __attribute__((constructor)) void pcsample_start() {
 }
 
 __attribute__((destructor)) void pcsample_stop() {
-  if (!g_armed) return;
+  if (!g_armed || getpid() != g_pid) return;
   const itimerval off{};
   setitimer(ITIMER_PROF, &off, nullptr);
   g_armed = false;

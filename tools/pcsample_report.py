@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Symbolize and summarize a pcsample profile (see tools/pcsample.cpp).
 
-    python3 tools/pcsample_report.py prof.txt [--top N] [--no-inline]
+    python3 tools/pcsample_report.py prof.txt
 
 Every sampled PC is mapped to (object file, file offset) through the copy of
 /proc/self/maps at the end of the profile, turned into the object's link-time
 address via its PT_LOAD segments, and symbolized with
-`addr2line -a -f -C [-i]`. Three tables follow:
+`addr2line -a -f -C -i`. Three tables of the top 25 rows follow:
 
   objects    share of samples per mapped file (the binary, libc, libstdc++...)
   self       share per innermost function: the code that was running
@@ -28,6 +28,8 @@ import collections
 import struct
 import subprocess
 import sys
+
+TOP = 25  # rows per table
 
 
 def read_profile(path):
@@ -87,9 +89,9 @@ def link_address(segs, file_off):
     return file_off
 
 
-def symbolize(obj, addrs, inline):
+def symbolize(obj, addrs):
     """{addr: [innermost function, ..., outermost]} via one addr2line run."""
-    cmd = ["addr2line", "-a", "-f", "-C", "-e", obj] + (["-i"] if inline else [])
+    cmd = ["addr2line", "-a", "-f", "-C", "-i", "-e", obj]
     try:
         res = subprocess.run(cmd, input="".join(f"{a:#x}\n" for a in addrs),
                              capture_output=True, text=True, check=True)
@@ -113,9 +115,6 @@ def symbolize(obj, addrs, inline):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("profile")
-    ap.add_argument("--top", type=int, default=25, help="rows per table (default 25)")
-    ap.add_argument("--no-inline", action="store_true",
-                    help="do not expand inline chains (inclusive == self)")
     args = ap.parse_args()
 
     pcs, maps = read_profile(args.profile)
@@ -142,7 +141,7 @@ def main():
         where[pc] = (path, addr)
         per_obj[path].add(addr)
 
-    names = {obj: symbolize(obj, sorted(addrs), not args.no_inline)
+    names = {obj: symbolize(obj, sorted(addrs))
              for obj, addrs in per_obj.items()}
 
     objects = collections.Counter()
@@ -166,7 +165,7 @@ def main():
                            ("inclusive (inline chain)", incl)):
         print(f"\n{title}:")
         print(f"  {'share':>6}  {'samples':>7}  name")
-        for name, c in counter.most_common(args.top):
+        for name, c in counter.most_common(TOP):
             print(f"  {100.0 * c / n:5.1f}%  {c:7d}  {name}")
 
 
