@@ -343,8 +343,8 @@ TEST(Determinism, BfsGoldenCounts) {
   EXPECT_EQ(r.traversed_edges, 9514u);
 }
 
-// The triangle-count app and the serve-layer BFS / triangle queries share
-// kernels with other callers; these goldens pin their ticks and counts so a
+// The triangle-count app and the serve-layer BFS / PageRank / triangle
+// queries share kernels with other callers; these goldens pin their ticks and counts so a
 // refactor of the shared code cannot move them unnoticed.
 TEST(Determinism, TriangleCountGoldenCounts) {
   EXPECT_EQ(run_tc(), (RunFingerprint{.done = 13995,
@@ -404,6 +404,26 @@ TEST(Determinism, ServeBfsGoldenCounts) {
                                .threads_destroyed = 12863,
                                .charged = 122336,
                                .result = 9514}));
+}
+
+TEST(Determinism, ServePageRankGoldenCounts) {
+  serve::QueryResult r;
+  const RunFingerprint f = run_serve_solo(serve::QueryKind::kPageRank, r);
+  EXPECT_EQ(r.rounds, 2u);
+  EXPECT_EQ(r.emitted, 19028u);
+  EXPECT_EQ(f, (RunFingerprint{.done = 41020,
+                               .events = 34909,
+                               .messages = 34909,
+                               .message_bytes = 1318232,
+                               .cross_node = 21700,
+                               .dram_reads = 6744,
+                               .dram_writes = 2968,
+                               .dram_bytes = 264416,
+                               .remote_dram = 6026,
+                               .threads_created = 22121,
+                               .threads_destroyed = 22121,
+                               .charged = 257718,
+                               .result = 19028}));
 }
 
 TEST(Determinism, ServeTrianglesGoldenCounts) {
