@@ -1,140 +1,20 @@
 #include "apps/pagerank.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 namespace updown::pr {
 
-// ---------------------------------------------------------------------------
-// Propagate phase: kv_map per sub-vertex (Listing 3's PageRankWorker).
-// ---------------------------------------------------------------------------
-struct PrMapTask : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
-  Word degree = 0;
-  Word nbr_ptr = 0;
-  Word owner = 0;
-  Word owner_degree = 0;
-  double contrib = 0.0;
-  Word loaded_neighbors = 0;  // the paper's loadedNeighbors completion counter
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    job = kvmsr::Library::map_job(ctx);
-    auto& app = ctx.machine().user<App>();
-    const Word v = kvmsr::Library::map_key(ctx);
-    // One read returns the whole 8-word vertex record.
-    ctx.send_dram_read(app.dg_.vertex_addr(v), 8, app.lb_.v_loaded);
-  }
-
-  void v_loaded(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    auto& lib = *app.lib_;
-    owner = ctx.op(DeviceGraph::kId);
-    degree = ctx.op(DeviceGraph::kDegree);
-    nbr_ptr = ctx.op(DeviceGraph::kNbrPtr);
-    owner_degree = ctx.op(DeviceGraph::kOwnerDegree);
-    ctx.charge(3);
-    if (degree == 0) {
-      lib.map_return(ctx, kvmsr_cont);
-      return;
-    }
-    ctx.send_dram_read(app.rank_base_ + owner * 8, 1, app.lb_.r_loaded);
-  }
-
-  void r_loaded(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    contrib = std::bit_cast<double>(ctx.op(0)) / static_cast<double>(owner_degree);
-    ctx.charge(2);
-    // Issue all neighbor-chunk reads up front: memory parallelism
-    // proportional to the edges (Section 4.1.2).
-    for (Word i = 0; i < degree; i += 8) {
-      const unsigned n = static_cast<unsigned>(std::min<Word>(8, degree - i));
-      ctx.charge(2);  // loop control + address arithmetic
-      ctx.send_dram_read(nbr_ptr + i * 8, n, app.lb_.n_loaded);
-    }
-  }
-
-  void n_loaded(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    auto& lib = *app.lib_;
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      ctx.charge(1);
-      lib.emit(ctx, job, ctx.op(i), std::bit_cast<Word>(contrib));
-    }
-    loaded_neighbors += ctx.nops();
-    if (loaded_neighbors == degree) lib.map_return(ctx, kvmsr_cont);
-  }
-};
-
-struct PrReduce : ThreadState {
-  void kv_reduce(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    const Word v = kvmsr::Library::reduce_key(ctx);
-    const double c = std::bit_cast<double>(kvmsr::Library::reduce_val(ctx));
-    app.cc_->add_f64(ctx, app.acc_base_ + v * 8, c);
-    app.lib_->reduce_return(ctx, kvmsr::Library::reduce_job(ctx));
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Apply phase: one task per ORIGINAL vertex v. Sum v's accumulator slots
-// [slot_offset[v], slot_offset[v+1]), fold in the damping formula, write the
-// new rank, and zero the slots for the next iteration.
-// ---------------------------------------------------------------------------
-struct PrApply : kvmsr::MapTask {
-  Word v = 0;
-  Word first_slot = 0, end_slot = 0;
-  double sum = 0.0;
-  Word chunks_loaded = 0, chunks_expected = 0;
-  unsigned acks = 0, acks_expected = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& app = ctx.machine().user<App>();
-    v = kvmsr::Library::map_key(ctx);
-    ctx.send_dram_read(app.slot_tab_ + v * 8, 2, app.lb_.o_loaded);
-  }
-
-  void o_loaded(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    first_slot = ctx.op(0);
-    end_slot = ctx.op(1);
-    chunks_expected = ceil_div(end_slot - first_slot, 8);
-    ctx.charge(2);
-    for (Word s = first_slot; s < end_slot; s += 8) {
-      const unsigned n = static_cast<unsigned>(std::min<Word>(8, end_slot - s));
-      ctx.charge(2);
-      ctx.send_dram_read(app.acc_base_ + s * 8, n, app.lb_.a_loaded);
-    }
-  }
-
-  void a_loaded(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      ctx.charge(1);
-      sum += std::bit_cast<double>(ctx.op(i));
-    }
-    if (++chunks_loaded < chunks_expected) return;
-
-    const double n = static_cast<double>(app.dg_.num_original);
-    const double rank = (1.0 - app.opt_.damping) / n + app.opt_.damping * sum;
-    ctx.charge(4);
-    // Acked writes: the next iteration must not read stale ranks or stale
-    // accumulators.
-    acks_expected = 1 + static_cast<unsigned>(chunks_expected);
-    ctx.send_dram_write(app.rank_base_ + v * 8, {std::bit_cast<Word>(rank)},
-                        app.lb_.a_written);
-    const Word zeros[8] = {};
-    for (Word s = first_slot; s < end_slot; s += 8) {
-      const unsigned k = static_cast<unsigned>(std::min<Word>(8, end_slot - s));
-      ctx.send_dram_writev(app.acc_base_ + s * 8, zeros, k,
-                           ctx.evw_update_event(ctx.cevnt(), app.lb_.a_written));
-    }
-  }
-
-  void a_written(Ctx& ctx) {
-    if (++acks == acks_expected) ctx.machine().user<App>().lib_->map_return(ctx, kvmsr_cont);
-  }
+// The app's binding of the shared kernel: its one graph and value arrays,
+// the Options damping, untagged combining-cache adds.
+struct AppSite {
+  static App& app(Ctx& ctx) { return ctx.machine().user<App>(); }
+  static const DeviceGraph& graph(Ctx& ctx, kvmsr::JobId) { return app(ctx).dg_; }
+  static Addr rank_base(Ctx& ctx, kvmsr::JobId) { return app(ctx).rank_base_; }
+  static Addr acc_base(Ctx& ctx, kvmsr::JobId) { return app(ctx).acc_base_; }
+  static Addr slot_table(Ctx& ctx, kvmsr::JobId) { return app(ctx).slot_tab_; }
+  static double damping(Ctx& ctx, kvmsr::JobId) { return app(ctx).opt_.damping; }
+  static Word tag(kvmsr::JobId) { return kvmsr::CombiningCache::kUntagged; }
+  static const KernelLabels& labels(Ctx& ctx) { return app(ctx).lb_; }
 };
 
 // ---------------------------------------------------------------------------
@@ -153,7 +33,7 @@ struct PrDriver : ThreadState {
     auto& app = ctx.machine().user<App>();
     app.edge_updates_ += ctx.op(0);  // emitted tuples == edge updates
     app.lib_->launch(ctx, app.apply_job_, 0, app.dg_.num_original,
-                     ctx.evw_update_event(ctx.cevnt(), app.lb_.d_apply_done));
+                     ctx.evw_update_event(ctx.cevnt(), app.d_apply_done_));
   }
 
   void d_apply_done(Ctx& ctx) {
@@ -177,7 +57,7 @@ struct PrDriver : ThreadState {
     // nesting the two KVMSR jobs' own phase spans on the driver lane.
     ctx.trace_phase_begin("pr.iteration");
     app.lib_->launch(ctx, app.propagate_job_, 0, app.dg_.num_vertices,
-                     ctx.evw_update_event(ctx.cevnt(), app.lb_.d_prop_done));
+                     ctx.evw_update_event(ctx.cevnt(), app.d_prop_done_));
   }
 };
 
@@ -189,24 +69,20 @@ App& App::install(Machine& m, const DeviceGraph& dg, const SplitGraph& sg,
 }
 
 App::App(Machine& m, const DeviceGraph& dg, const SplitGraph& sg, const Options& opt)
-    : m_(m), dg_(dg), opt_(opt), num_slots_(sg.num_slots()) {
+    : m_(m), dg_(dg), opt_(opt) {
   lib_ = &kvmsr::Library::install(m);
   cc_ = &kvmsr::CombiningCache::install(m);
   Program& p = m.program();
 
-  lb_.v_loaded = p.event("pr::v_loaded", &PrMapTask::v_loaded);
-  lb_.r_loaded = p.event("pr::r_loaded", &PrMapTask::r_loaded);
-  lb_.n_loaded = p.event("pr::n_loaded", &PrMapTask::n_loaded);
-  lb_.o_loaded = p.event("pr::o_loaded", &PrApply::o_loaded);
-  lb_.a_loaded = p.event("pr::a_loaded", &PrApply::a_loaded);
-  lb_.a_written = p.event("pr::a_written", &PrApply::a_written);
-  lb_.d_prop_done = p.event("pr::d_prop_done", &PrDriver::d_prop_done);
-  lb_.d_apply_done = p.event("pr::d_apply_done", &PrDriver::d_apply_done);
+  lb_ = register_kernel<AppSite>(p, "pr::");
+  d_prop_done_ = p.event("pr::d_prop_done", &PrDriver::d_prop_done);
+  d_apply_done_ = p.event("pr::d_apply_done", &PrDriver::d_apply_done);
   driver_start_ = p.event("pr::d_start", &PrDriver::d_start);
 
-  // Rank array (per original), accumulator array (per slot), and the
-  // slot_offset table, placed per Options (defaults: spread over the whole
-  // machine in 32 KiB blocks, like the graph itself).
+  // Rank array (per original), accumulator array (per slot), and, for a
+  // split graph, the slot_offset table, placed per Options (defaults: spread
+  // over the whole machine in 32 KiB blocks, like the graph itself). An
+  // unsplit graph's slot v is v, so its apply needs no table.
   const std::uint32_t nr =
       opt.value_placement.nr_nodes ? opt.value_placement.nr_nodes : m.config().nodes;
   auto place = [&](std::uint64_t bytes) {
@@ -214,19 +90,22 @@ App::App(Machine& m, const DeviceGraph& dg, const SplitGraph& sg, const Options&
                                   opt.value_placement.first_node, nr,
                                   opt.value_placement.block_size);
   };
+  const std::uint64_t num_slots = sg.num_slots();
   rank_base_ = place(dg.num_original * 8);
-  acc_base_ = place(num_slots_ * 8);
-  slot_tab_ = place((dg.num_original + 1) * 8);
+  acc_base_ = place(num_slots * 8);
   const double init = 1.0 / static_cast<double>(dg.num_original);
   for (VertexId v = 0; v < dg.num_original; ++v)
     m.memory().host_store<double>(rank_base_ + v * 8, init);
-  for (std::uint64_t s = 0; s < num_slots_; ++s)
+  for (std::uint64_t s = 0; s < num_slots; ++s)
     m.memory().host_store<double>(acc_base_ + s * 8, 0.0);
-  m.memory().host_write(slot_tab_, sg.slot_offset.data(), (dg.num_original + 1) * 8);
+  if (dg.num_vertices != dg.num_original) {
+    slot_tab_ = place((dg.num_original + 1) * 8);
+    m.memory().host_write(slot_tab_, sg.slot_offset.data(), (dg.num_original + 1) * 8);
+  }
 
   kvmsr::JobSpec prop;
-  prop.kv_map = p.event("pr::kv_map", &PrMapTask::kv_map);
-  prop.kv_reduce = p.event("pr::kv_reduce", &PrReduce::kv_reduce);
+  prop.kv_map = lb_.kv_map;
+  prop.kv_reduce = lb_.kv_reduce;
   prop.flush = cc_->flush_label();
   prop.map_binding = opt.map_binding;
   prop.coalesce_tuples = opt.coalesce_tuples;
@@ -237,7 +116,7 @@ App::App(Machine& m, const DeviceGraph& dg, const SplitGraph& sg, const Options&
   propagate_job_ = lib_->add_job(prop);
 
   kvmsr::JobSpec apply;
-  apply.kv_map = p.event("pr::apply", &PrApply::kv_map);
+  apply.kv_map = lb_.apply;
   apply.name = "pr.apply";
   apply_job_ = lib_->add_job(apply);
 }

@@ -17,9 +17,20 @@
 // Iterations are chained on-device by a driver thread using KVMSR launch
 // continuations — the host only fires the driver and reads results after
 // quiescence.
+//
+// The kernel (PrMap/PrReduce/PrApply) is shared with the serve layer's
+// kPageRank query: a caller binds it through a Site type and supplies the
+// graph, its rank/accumulator/slot-table bases, the damping and the
+// combining-cache tag. The apply picks its head from the graph: a split graph
+// (num_vertices != num_original) reads v's slot range from the slot table and
+// sums its accumulator chunks; on an unsplit graph slot v is v, so it reads
+// the one accumulator word and goes straight to the shared tail.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/layout.hpp"
@@ -27,6 +38,13 @@
 #include "kvmsr/kvmsr.hpp"
 
 namespace updown::pr {
+
+/// Event labels of one Site's instantiation of the kernel.
+struct KernelLabels {
+  EventLabel kv_map = 0, kv_reduce = 0, apply = 0;
+  EventLabel v_loaded = 0, r_loaded = 0, n_loaded = 0;
+  EventLabel o_loaded = 0, a_loaded = 0, a_word = 0, a_written = 0;
+};
 
 struct Options {
   unsigned iterations = 5;
@@ -81,9 +99,7 @@ class App {
 
  private:
   friend struct PrDriver;
-  friend struct PrMapTask;
-  friend struct PrReduce;
-  friend struct PrApply;
+  friend struct AppSite;
 
   Machine& m_;
   kvmsr::Library* lib_;
@@ -93,17 +109,13 @@ class App {
 
   Addr rank_base_ = 0;   ///< f64 rank per original vertex
   Addr acc_base_ = 0;    ///< f64 accumulator per slot (num_slots cells)
-  Addr slot_tab_ = 0;    ///< slot_offset table, num_original + 1 words
-  std::uint64_t num_slots_ = 0;
+  Addr slot_tab_ = 0;    ///< slot_offset table, num_original + 1 words (split graphs only)
 
   kvmsr::JobId propagate_job_ = 0;
   kvmsr::JobId apply_job_ = 0;
   EventLabel driver_start_ = 0;
-  struct Labels {
-    EventLabel v_loaded = 0, r_loaded = 0, n_loaded = 0;
-    EventLabel o_loaded = 0, a_loaded = 0, a_written = 0;
-    EventLabel d_prop_done = 0, d_apply_done = 0;
-  } lb_;
+  EventLabel d_prop_done_ = 0, d_apply_done_ = 0;
+  KernelLabels lb_;
 
   // Result fields written by the driver thread.
   Tick start_tick_ = 0;
@@ -111,5 +123,186 @@ class App {
   std::uint64_t edge_updates_ = 0;
   bool finished_ = false;
 };
+
+// ---------------------------------------------------------------------------
+// The kernel. `Site` binds it to one caller through static members, each
+// resolved from the running task's job:
+//   const DeviceGraph& graph(Ctx&, kvmsr::JobId)
+//   Addr rank_base(Ctx&, kvmsr::JobId)   f64 rank per original vertex
+//   Addr acc_base(Ctx&, kvmsr::JobId)    f64 accumulator per slot
+//   Addr slot_table(Ctx&, kvmsr::JobId)  slot_offset words; read only when
+//                                        the graph is split
+//   double damping(Ctx&, kvmsr::JobId)
+//   Word tag(kvmsr::JobId)               combining-cache tag of the adds
+//   const KernelLabels& labels(Ctx&)     what register_kernel<Site> returned
+// ---------------------------------------------------------------------------
+
+/// Propagate map, one task per (sub-)vertex (Listing 3's PageRankWorker).
+template <class Site>
+struct PrMap : kvmsr::MapTask {
+  kvmsr::JobId job = 0;
+  Word degree = 0;
+  Word nbr_ptr = 0;
+  Word owner = 0;
+  Word owner_degree = 0;
+  double contrib = 0.0;
+  Word loaded_neighbors = 0;  // the paper's loadedNeighbors completion counter
+
+  void kv_map(Ctx& ctx) {
+    kvmsr_begin(ctx);
+    job = kvmsr::Library::map_job(ctx);
+    const Word v = kvmsr::Library::map_key(ctx);
+    // One read returns the whole 8-word vertex record.
+    ctx.send_dram_read(Site::graph(ctx, job).vertex_addr(v), 8, Site::labels(ctx).v_loaded);
+  }
+
+  void v_loaded(Ctx& ctx) {
+    owner = ctx.op(DeviceGraph::kId);
+    degree = ctx.op(DeviceGraph::kDegree);
+    nbr_ptr = ctx.op(DeviceGraph::kNbrPtr);
+    owner_degree = ctx.op(DeviceGraph::kOwnerDegree);
+    ctx.charge(3);
+    if (degree == 0) {
+      ctx.machine().service<kvmsr::Library>().map_return(ctx, kvmsr_cont);
+      return;
+    }
+    ctx.send_dram_read(Site::rank_base(ctx, job) + owner * 8, 1, Site::labels(ctx).r_loaded);
+  }
+
+  void r_loaded(Ctx& ctx) {
+    contrib = std::bit_cast<double>(ctx.op(0)) / static_cast<double>(owner_degree);
+    ctx.charge(2);
+    // Issue all neighbor-chunk reads up front: memory parallelism
+    // proportional to the edges (Section 4.1.2).
+    const EventLabel nbrs = Site::labels(ctx).n_loaded;
+    for (Word i = 0; i < degree; i += 8) {
+      const unsigned n = static_cast<unsigned>(std::min<Word>(8, degree - i));
+      ctx.charge(2);  // loop control + address arithmetic
+      ctx.send_dram_read(nbr_ptr + i * 8, n, nbrs);
+    }
+  }
+
+  void n_loaded(Ctx& ctx) {
+    auto& lib = ctx.machine().service<kvmsr::Library>();
+    for (unsigned i = 0; i < ctx.nops(); ++i) {
+      ctx.charge(1);
+      lib.emit(ctx, job, ctx.op(i), std::bit_cast<Word>(contrib));
+    }
+    loaded_neighbors += ctx.nops();
+    if (loaded_neighbors == degree) lib.map_return(ctx, kvmsr_cont);
+  }
+};
+
+/// Propagate reduce: fold one contribution into its accumulator slot.
+template <class Site>
+struct PrReduce : ThreadState {
+  void kv_reduce(Ctx& ctx) {
+    const kvmsr::JobId job = kvmsr::Library::reduce_job(ctx);
+    const Word slot = kvmsr::Library::reduce_key(ctx);
+    const double c = std::bit_cast<double>(kvmsr::Library::reduce_val(ctx));
+    ctx.machine().service<kvmsr::CombiningCache>().add_f64(
+        ctx, Site::acc_base(ctx, job) + slot * 8, c, Site::tag(job));
+    ctx.machine().service<kvmsr::Library>().reduce_return(ctx, job);
+  }
+};
+
+/// Apply: one task per ORIGINAL vertex v. Sum v's accumulator slots
+/// [slot_offset[v], slot_offset[v+1]), fold in the damping formula, write the
+/// new rank, and zero the slots for the next iteration.
+template <class Site>
+struct PrApply : kvmsr::MapTask {
+  kvmsr::JobId job = 0;
+  Word v = 0;
+  Word first_slot = 0, end_slot = 0;
+  double sum = 0.0;
+  Word chunks_loaded = 0, chunks_expected = 0;
+  unsigned acks = 0, acks_expected = 0;
+
+  void kv_map(Ctx& ctx) {
+    kvmsr_begin(ctx);
+    job = kvmsr::Library::map_job(ctx);
+    v = kvmsr::Library::map_key(ctx);
+    const DeviceGraph& g = Site::graph(ctx, job);
+    const KernelLabels& lb = Site::labels(ctx);
+    if (g.num_vertices != g.num_original) {
+      ctx.send_dram_read(Site::slot_table(ctx, job) + v * 8, 2, lb.o_loaded);
+      return;
+    }
+    // Unsplit: slot v is v, one accumulator word and no chunk loop.
+    first_slot = v;
+    end_slot = v + 1;
+    ctx.send_dram_read(Site::acc_base(ctx, job) + v * 8, 1, lb.a_word);
+  }
+
+  void o_loaded(Ctx& ctx) {
+    first_slot = ctx.op(0);
+    end_slot = ctx.op(1);
+    chunks_expected = ceil_div(end_slot - first_slot, 8);
+    ctx.charge(2);
+    const Addr acc = Site::acc_base(ctx, job);
+    const EventLabel loaded = Site::labels(ctx).a_loaded;
+    for (Word s = first_slot; s < end_slot; s += 8) {
+      const unsigned n = static_cast<unsigned>(std::min<Word>(8, end_slot - s));
+      ctx.charge(2);
+      ctx.send_dram_read(acc + s * 8, n, loaded);
+    }
+  }
+
+  void a_loaded(Ctx& ctx) {
+    for (unsigned i = 0; i < ctx.nops(); ++i) {
+      ctx.charge(1);
+      sum += std::bit_cast<double>(ctx.op(i));
+    }
+    if (++chunks_loaded == chunks_expected) apply(ctx);
+  }
+
+  void a_word(Ctx& ctx) {
+    sum = std::bit_cast<double>(ctx.op(0));
+    apply(ctx);
+  }
+
+  void a_written(Ctx& ctx) {
+    if (++acks == acks_expected)
+      ctx.machine().service<kvmsr::Library>().map_return(ctx, kvmsr_cont);
+  }
+
+ private:
+  void apply(Ctx& ctx) {
+    const double n = static_cast<double>(Site::graph(ctx, job).num_original);
+    const double d = Site::damping(ctx, job);
+    const double rank = (1.0 - d) / n + d * sum;
+    ctx.charge(4);
+    // Acked writes: the next iteration must not read stale ranks or stale
+    // accumulators.
+    const EventLabel written = Site::labels(ctx).a_written;
+    acks_expected = 1 + static_cast<unsigned>(ceil_div(end_slot - first_slot, 8));
+    ctx.send_dram_write(Site::rank_base(ctx, job) + v * 8, {std::bit_cast<Word>(rank)},
+                        written);
+    const Addr acc = Site::acc_base(ctx, job);
+    const Word zeros[8] = {};
+    for (Word s = first_slot; s < end_slot; s += 8) {
+      const unsigned k = static_cast<unsigned>(std::min<Word>(8, end_slot - s));
+      ctx.send_dram_writev(acc + s * 8, zeros, k,
+                           ctx.evw_update_event(ctx.cevnt(), written));
+    }
+  }
+};
+
+/// Register Site's instantiation of the kernel; `prefix` names its events.
+template <class Site>
+KernelLabels register_kernel(Program& p, const std::string& prefix) {
+  KernelLabels lb;
+  lb.kv_map = p.event(prefix + "kv_map", &PrMap<Site>::kv_map);
+  lb.kv_reduce = p.event(prefix + "kv_reduce", &PrReduce<Site>::kv_reduce);
+  lb.apply = p.event(prefix + "apply", &PrApply<Site>::kv_map);
+  lb.v_loaded = p.event(prefix + "v_loaded", &PrMap<Site>::v_loaded);
+  lb.r_loaded = p.event(prefix + "r_loaded", &PrMap<Site>::r_loaded);
+  lb.n_loaded = p.event(prefix + "n_loaded", &PrMap<Site>::n_loaded);
+  lb.o_loaded = p.event(prefix + "o_loaded", &PrApply<Site>::o_loaded);
+  lb.a_loaded = p.event(prefix + "a_loaded", &PrApply<Site>::a_loaded);
+  lb.a_word = p.event(prefix + "a_word", &PrApply<Site>::a_word);
+  lb.a_written = p.event(prefix + "a_written", &PrApply<Site>::a_written);
+  return lb;
+}
 
 }  // namespace updown::pr

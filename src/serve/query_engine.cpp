@@ -171,109 +171,6 @@ struct SqDriver : ThreadState {
 };
 
 // ---------------------------------------------------------------------------
-// PageRank propagate: per-vertex map emits rank/degree to every neighbor;
-// reduce folds into the query's accumulator array through the (job-tagged)
-// combining cache. Same shape as apps/pagerank, minus the split-vertex
-// indirection: serve graphs are unsplit, so the map key IS the rank index.
-// ---------------------------------------------------------------------------
-struct SqPrMap : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
-  Word v = 0;
-  Word degree = 0;
-  Word nbr_ptr = 0;
-  double contrib = 0.0;
-  Word loaded = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& eng = ctx.machine().service<QueryEngine>();
-    job = kvmsr::Library::map_job(ctx);
-    v = kvmsr::Library::map_key(ctx);
-    ctx.send_dram_read(eng.query_of_job(job).spec.graph->vertex_addr(v), 8,
-                       eng.lb_.pr_rec);
-  }
-
-  void pr_rec(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    auto& q = eng.query_of_job(job);
-    degree = ctx.op(DeviceGraph::kDegree);
-    nbr_ptr = ctx.op(DeviceGraph::kNbrPtr);
-    ctx.charge(3);
-    if (degree == 0) {
-      eng.lib_->map_return(ctx, kvmsr_cont);
-      return;
-    }
-    ctx.send_dram_read(q.rank_base + v * 8, 1, eng.lb_.pr_rank);
-  }
-
-  void pr_rank(Ctx& ctx) {
-    contrib = std::bit_cast<double>(ctx.op(0)) / static_cast<double>(degree);
-    ctx.charge(2);
-    auto& eng = ctx.machine().service<QueryEngine>();
-    for (Word i = 0; i < degree; i += 8) {
-      const unsigned n = static_cast<unsigned>(std::min<Word>(8, degree - i));
-      ctx.charge(2);
-      ctx.send_dram_read(nbr_ptr + i * 8, n, eng.lb_.pr_nbrs);
-    }
-  }
-
-  void pr_nbrs(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      ctx.charge(1);
-      eng.lib_->emit(ctx, job, ctx.op(i), std::bit_cast<Word>(contrib));
-    }
-    loaded += ctx.nops();
-    if (loaded == degree) eng.lib_->map_return(ctx, kvmsr_cont);
-  }
-};
-
-struct SqPrReduce : ThreadState {
-  void kv_reduce(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    const kvmsr::JobId job = kvmsr::Library::reduce_job(ctx);
-    auto& q = eng.query_of_job(job);
-    const Word v = kvmsr::Library::reduce_key(ctx);
-    const double c = std::bit_cast<double>(kvmsr::Library::reduce_val(ctx));
-    eng.cc_->add_f64(ctx, q.acc_base + v * 8, c, job);
-    eng.lib_->reduce_return(ctx, job);
-  }
-};
-
-/// Apply sweep: rank'[v] = (1-d)/n + d*acc[v]; acked writes so the next
-/// propagate cannot read a stale rank or accumulator.
-struct SqPrApply : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
-  Word v = 0;
-  unsigned acks = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& eng = ctx.machine().service<QueryEngine>();
-    job = kvmsr::Library::map_job(ctx);
-    v = kvmsr::Library::map_key(ctx);
-    ctx.send_dram_read(eng.query_of_job(job).acc_base + v * 8, 1, eng.lb_.pr_acc);
-  }
-
-  void pr_acc(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    auto& q = eng.query_of_job(job);
-    const double sum = std::bit_cast<double>(ctx.op(0));
-    const double n = static_cast<double>(q.spec.graph->num_original);
-    const double rank = (1.0 - q.spec.damping) / n + q.spec.damping * sum;
-    ctx.charge(4);
-    ctx.send_dram_write(q.rank_base + v * 8, {std::bit_cast<Word>(rank)},
-                        eng.lb_.pr_written);
-    ctx.send_dram_write(q.acc_base + v * 8, {0}, eng.lb_.pr_written);
-  }
-
-  void pr_written(Ctx& ctx) {
-    if (++acks == 2)
-      ctx.machine().service<QueryEngine>().lib_->map_return(ctx, kvmsr_cont);
-  }
-};
-
-// ---------------------------------------------------------------------------
 // 2-hop path count (the PartialMatch stand-in): map emits one tuple per edge
 // (a -> b, weight 1); the reduce on b's lane multiplies by outdeg(b). With
 // shuffle combining (kSumU64) tuples for the same b merge map-side, so the
@@ -343,6 +240,26 @@ struct SqPcReduce : ThreadState {
     if (found > 0) eng.cc_->add_u64(ctx, q.lane_cell(ctx.nwid()), found, job);
     eng.lib_->reduce_return(ctx, job);
   }
+};
+
+// PageRank: the pagerank app's kernel, bound to the query's graph, rank and
+// accumulator arrays and damping, with job-tagged combining-cache adds.
+// add_query admits only unsplit graphs, so the apply never reads a slot
+// table.
+struct SqPrSite {
+  static QueryEngine& eng(Ctx& ctx) { return ctx.machine().service<QueryEngine>(); }
+  static QueryEngine::Query& query(Ctx& ctx, kvmsr::JobId job) {
+    return eng(ctx).query_of_job(job);
+  }
+  static const DeviceGraph& graph(Ctx& ctx, kvmsr::JobId job) {
+    return *query(ctx, job).spec.graph;
+  }
+  static Addr rank_base(Ctx& ctx, kvmsr::JobId job) { return query(ctx, job).rank_base; }
+  static Addr acc_base(Ctx& ctx, kvmsr::JobId job) { return query(ctx, job).acc_base; }
+  static Addr slot_table(Ctx&, kvmsr::JobId) { return 0; }
+  static double damping(Ctx& ctx, kvmsr::JobId job) { return query(ctx, job).spec.damping; }
+  static Word tag(kvmsr::JobId job) { return job; }
+  static const pr::KernelLabels& labels(Ctx& ctx) { return eng(ctx).lb_.pr; }
 };
 
 // Triangle count: the tc app's kernel, bound to the query's graph, its
@@ -610,14 +527,7 @@ QueryEngine::QueryEngine(Machine& m) : m_(m) {
   lb_.d_pr_prop_done = p.event("serve::d_pr_prop_done", &SqDriver::d_pr_prop_done);
   lb_.d_pr_apply_done = p.event("serve::d_pr_apply_done", &SqDriver::d_pr_apply_done);
   lb_.d_pass_done = p.event("serve::d_pass_done", &SqDriver::d_pass_done);
-  lb_.pr_map = p.event("serve::pr_map", &SqPrMap::kv_map);
-  lb_.pr_reduce = p.event("serve::pr_reduce", &SqPrReduce::kv_reduce);
-  lb_.pr_apply = p.event("serve::pr_apply", &SqPrApply::kv_map);
-  lb_.pr_rec = p.event("serve::pr_rec", &SqPrMap::pr_rec);
-  lb_.pr_rank = p.event("serve::pr_rank", &SqPrMap::pr_rank);
-  lb_.pr_nbrs = p.event("serve::pr_nbrs", &SqPrMap::pr_nbrs);
-  lb_.pr_acc = p.event("serve::pr_acc", &SqPrApply::pr_acc);
-  lb_.pr_written = p.event("serve::pr_written", &SqPrApply::pr_written);
+  lb_.pr = pr::register_kernel<SqPrSite>(p, "serve::pr.");
   lb_.pc_map = p.event("serve::pc_map", &SqPcMap::kv_map);
   lb_.pc_reduce = p.event("serve::pc_reduce", &SqPcReduce::kv_reduce);
   lb_.pc_rec = p.event("serve::pc_rec", &SqPcMap::pc_rec);
@@ -689,15 +599,15 @@ QueryId QueryEngine::add_query(QuerySpec spec) {
         m_.memory().host_store<double>(q.rank_base + v * 8, init);
         m_.memory().host_store<double>(q.acc_base + v * 8, 0.0);
       }
-      js.kv_map = lb_.pr_map;
-      js.kv_reduce = lb_.pr_reduce;
+      js.kv_map = lb_.pr.kv_map;
+      js.kv_reduce = lb_.pr.kv_reduce;
       js.flush = cc_->flush_label();
       js.combiner = kvmsr::Combiner::kSumF64;
       js.name = q.spec.name + ".prop";
       q.job = lib_->add_job(js);
 
       kvmsr::JobSpec as;
-      as.kv_map = lb_.pr_apply;
+      as.kv_map = lb_.pr.apply;
       as.lanes = q.spec.lanes;
       as.name = q.spec.name + ".apply";
       q.apply_job = lib_->add_job(as);

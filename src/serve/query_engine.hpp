@@ -15,9 +15,10 @@
 // the engine while other queries stay in flight.
 //
 // Query kinds:
-//   kPageRank  — push PageRank, `iterations` synchronous sweeps (propagate
-//                job with f64 combining + apply job per sweep, chained by the
-//                driver exactly like apps/pagerank).
+//   kPageRank  — push PageRank, `iterations` synchronous sweeps: the pagerank
+//                app's kernel (apps/pagerank.hpp) bound to the query's graph,
+//                rank/accumulator arrays and damping (propagate job with f64
+//                combining + apply job per sweep, chained by the driver).
 //   kBfs       — BFS as monotone frontier repair: one KVMSR job launch per
 //                round over the whole key range; the frontier (lane-local
 //                scratchpad state modeled host-side) holds each member's
@@ -52,6 +53,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "apps/pagerank.hpp"
 #include "apps/tc.hpp"
 #include "graph/layout.hpp"
 #include "kvmsr/combining_cache.hpp"
@@ -201,9 +203,7 @@ class QueryEngine {
  private:
   friend struct SqTick;
   friend struct SqDriver;
-  friend struct SqPrMap;
-  friend struct SqPrReduce;
-  friend struct SqPrApply;
+  friend struct SqPrSite;
   friend struct SqPcMap;
   friend struct SqPcReduce;
   friend struct SqTcSite;
@@ -273,14 +273,7 @@ class QueryEngine {
     EventLabel d_pr_prop_done = 0;
     EventLabel d_pr_apply_done = 0;
     EventLabel d_pass_done = 0;  ///< kPathCount / kTriangles single pass
-    EventLabel pr_map = 0;
-    EventLabel pr_reduce = 0;
-    EventLabel pr_apply = 0;
-    EventLabel pr_rec = 0;
-    EventLabel pr_rank = 0;
-    EventLabel pr_nbrs = 0;
-    EventLabel pr_acc = 0;
-    EventLabel pr_written = 0;
+    pr::KernelLabels pr;
     EventLabel pc_map = 0;
     EventLabel pc_reduce = 0;
     EventLabel pc_rec = 0;
