@@ -96,6 +96,17 @@ SplitGraph read_split_binary(const std::string& prefix) {
     if (sg.slot_offset[v] > sg.slot_offset[v + 1])
       fail(path, "slot_offset decreases at vertex " + std::to_string(v));
   if (sg.slot_offset.back() != ns) fail(path, "slot_offset[num_original] is not num_sub");
+  // split_vertices gives every original vertex one slot per sub-vertex it
+  // owns, and at least one: PageRank's apply sums exactly that slot range.
+  std::vector<std::uint64_t> pieces(n_orig, 0);
+  for (std::uint64_t s = 0; s < ns; ++s) ++pieces[sg.owner[s]];
+  for (std::uint64_t v = 0; v < n_orig; ++v) {
+    const std::uint64_t width = sg.slot_offset[v + 1] - sg.slot_offset[v];
+    if (width == 0) fail(path, "slot range of vertex " + std::to_string(v) + " is empty");
+    if (width != pieces[v])
+      fail(path, "vertex " + std::to_string(v) + " has " + std::to_string(width) +
+                     " slots but owns " + std::to_string(pieces[v]) + " sub-vertices");
+  }
   return sg;
 }
 

@@ -1,15 +1,11 @@
 // Differential fuzzing: random graphs and inputs through the simulated
 // UpDown applications, checked word-for-word against the CPU baselines in
-// src/baseline. Every case is derived purely from a 64-bit seed, so any
-// failure is a one-line repro:
+// src/baseline. Seeds, sweep and the one-line repro are fuzz_seeds.hpp's:
 //
 //   UD_FUZZ_SEED=<seed> ./tests/test_differential
 //
-// replays exactly the failing case (and nothing else). Without UD_FUZZ_SEED
-// the suite sweeps UD_FUZZ_CASES (default 56) case seeds derived from the
-// master seed UD_FUZZ_MASTER (default fixed); CI's nightly job passes a
-// date-derived master so the corpus moves every night yet any night's run is
-// reproducible, and each failure still reports its single-case repro seed.
+// replays exactly the failing case. Without UD_FUZZ_SEED the suite sweeps
+// UD_FUZZ_CASES (default 56) case seeds derived from UD_FUZZ_MASTER.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +21,7 @@
 #include "apps/tc.hpp"
 #include "baseline/baseline.hpp"
 #include "common/rng.hpp"
+#include "fuzz_seeds.hpp"
 #include "graph/generators.hpp"
 #include "serve/query_engine.hpp"
 #include "stream/stream.hpp"
@@ -34,20 +31,7 @@ namespace {
 
 constexpr int kDefaultCases = 56;  // CI acceptance floor is 50 seeded combos
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// The repro line printed on failure and in every scoped trace.
-std::string repro(std::uint64_t case_seed) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "repro: UD_FUZZ_SEED=%llu ./tests/test_differential",
-                static_cast<unsigned long long>(case_seed));
-  return buf;
-}
+std::string repro(std::uint64_t case_seed) { return fuzz::repro("test_differential", case_seed); }
 
 /// A random graph whose every dimension — generator family, size, skew,
 /// symmetry, self-loops, duplicate edges — comes from the seed. Self-loop
@@ -370,29 +354,8 @@ void run_case(std::uint64_t case_seed) {
   }
 }
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return (v && *v) ? std::strtoull(v, nullptr, 0) : fallback;
-}
-
 TEST(DifferentialFuzz, SimMatchesBaselines) {
-  const char* replay = std::getenv("UD_FUZZ_SEED");
-  if (replay && *replay) {
-    // Replay mode: exactly the failing case, nothing else.
-    run_case(std::strtoull(replay, nullptr, 0));
-    return;
-  }
-  const std::uint64_t master = env_u64("UD_FUZZ_MASTER", 0xD1FFC0DEULL);
-  const int cases = static_cast<int>(env_u64("UD_FUZZ_CASES", kDefaultCases));
-  for (int i = 0; i < cases; ++i) {
-    const std::uint64_t case_seed = splitmix64(master + static_cast<std::uint64_t>(i));
-    run_case(case_seed);
-    if (::testing::Test::HasFatalFailure()) {
-      // The scoped trace already carries the repro; print it unmissably too.
-      std::fprintf(stderr, "[  FUZZ    ] case %d failed — %s\n", i, repro(case_seed).c_str());
-      return;
-    }
-  }
+  fuzz::sweep("test_differential", kDefaultCases, run_case);
 }
 
 TEST(DifferentialFuzz, CheckedShardedSweep) {
@@ -404,10 +367,10 @@ TEST(DifferentialFuzz, CheckedShardedSweep) {
   //   UD_CHECK=1 UD_SHARDS=4 UD_FUZZ_SEED=<seed> ./tests/test_differential
   EnvGuard gc("UD_CHECK", "1");
   EnvGuard gs("UD_SHARDS", "4");
-  const std::uint64_t master = env_u64("UD_FUZZ_MASTER", 0xD1FFC0DEULL);
+  const std::uint64_t master = fuzz::env_u64("UD_FUZZ_MASTER", fuzz::kDefaultMaster);
   for (int i = 0; i < 8; ++i) {
     const std::uint64_t case_seed =
-        splitmix64(master + 0xC4EC0000ULL + static_cast<std::uint64_t>(i));
+        fuzz::splitmix64(master + 0xC4EC0000ULL + static_cast<std::uint64_t>(i));
     run_case(case_seed);
     if (::testing::Test::HasFatalFailure()) {
       std::fprintf(stderr, "[  FUZZ    ] checked case %d failed — %s\n", i,

@@ -131,6 +131,39 @@ TEST(SplitIo, OutOfRangeMetaThrowsNamingTheFile) {
   }
 }
 
+/// A star whose hub (vertex 0, degree 99) splits into 10 sub-vertices at
+/// max degree 10; every leaf keeps one.
+SplitGraph split_star() {
+  SplitGraph sg = split_vertices(star_graph(100), 10);
+  EXPECT_EQ(sg.slot_offset[1], 10u);
+  return sg;
+}
+
+TEST(SplitIo, EmptySlotRangeThrows) {
+  // An empty range would leave the hub's PageRank apply with no accumulator
+  // reads, so it would never return and the driver would never finish.
+  SplitGraph sg = split_star();
+  sg.slot_offset[1] = 0;
+  const std::string p = tmp_prefix("empty_slots");
+  write_split_binary(sg, p);
+  const std::string err = error_of([&] { read_split_binary(p); });
+  EXPECT_NE(err.find(p + "_meta.bin"), std::string::npos) << err;
+  EXPECT_NE(err.find("slot range of vertex 0 is empty"), std::string::npos) << err;
+}
+
+TEST(SplitIo, SlotWidthDisagreesWithOwnerThrows) {
+  // Five slots for a hub that owns ten sub-vertices: the apply would sum
+  // part of the hub's slots, and vertex 1's range would take the rest.
+  SplitGraph sg = split_star();
+  sg.slot_offset[1] = 5;
+  const std::string p = tmp_prefix("narrow_slots");
+  write_split_binary(sg, p);
+  const std::string err = error_of([&] { read_split_binary(p); });
+  EXPECT_NE(err.find(p + "_meta.bin"), std::string::npos) << err;
+  EXPECT_NE(err.find("vertex 0 has 5 slots but owns 10 sub-vertices"), std::string::npos)
+      << err;
+}
+
 TEST(SplitIo, StatsSummaryMentionsKeyNumbers) {
   Graph g = star_graph(100);
   SplitGraph sg = split_vertices(g, 10);
