@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -326,65 +327,52 @@ int throughput_report() {
               speedup4, (unsigned long long)sweep[2].engine.windows,
               (unsigned long long)sweep[2].engine.mailbox_messages);
 
-  FILE* f = std::fopen("BENCH_micro_sim.json", "w");
-  if (!f) {
-    std::fprintf(stderr, "micro_sim: cannot write BENCH_micro_sim.json\n");
-    return 1;
+  {
+    // Rates are whole events per second.
+    auto per_sec = [](double r) { return static_cast<std::uint64_t>(std::llround(r)); };
+    bench::Json j("BENCH_micro_sim.json");
+    if (!j.ok()) {
+      std::fprintf(stderr, "micro_sim: cannot write BENCH_micro_sim.json\n");
+      return 1;
+    }
+    j.str("benchmark", "micro_sim");
+    j.str("workload",
+          "64 message chains x 14000 hops + 32 dram chains x 2000 round trips, 8-node machine");
+    j.u64("repetitions", kReps);
+    j.u64("events", best.events);
+    j.u64("messages", best.messages);
+    j.u64("dram_accesses", best.dram_accesses);
+    j.u64("final_tick", best.final_tick);
+    j.num("wall_seconds", best.wall_seconds);
+    j.u64("events_per_sec", per_sec(best.events_per_sec));
+    j.u64("events_per_sec_checked", per_sec(checked.events_per_sec));
+    j.num("checker_cost_pct", checker_cost_pct);
+    j.u64("events_per_sec_checked_4shards", per_sec(checked4.events_per_sec));
+    j.num("checker_cost_pct_4shards", checker_cost_pct_4shards);
+    j.u64("shadow_peak_bytes", checked.shadow_peak_bytes);
+    j.u64("baseline_events_per_sec", per_sec(kBaselineEventsPerSec));
+    j.num("vs_baseline_regress_pct", vs_baseline_pct);
+    j.u64("max_queue_depth", best.max_queue_depth);
+    j.begin_object("engine");
+    j.u64("far_events", best.engine.far_events);
+    j.u64("bucket_sorts", best.engine.bucket_sorts);
+    j.u64("msg_pool_capacity", best.engine.msg_pool_capacity);
+    j.u64("dram_pool_capacity", best.engine.dram_pool_capacity);
+    j.end();
+    j.begin_array("shard_sweep");
+    for (int s = 0; s < 4; ++s) {
+      j.begin_object();
+      j.u64("shards", kSweep[s]);
+      j.u64("events_per_sec", per_sec(sweep[s].events_per_sec));
+      j.u64("windows", sweep[s].engine.windows);
+      j.u64("mailbox_events", sweep[s].engine.mailbox_messages);
+      j.end();
+    }
+    j.end();
+    j.num("speedup_4_shards", speedup4);
+    j.boolean("shard_counts_identical", sweep_counts_ok);
+    j.boolean("checked_counts_identical", checked_counts_ok);
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"micro_sim\",\n"
-               "  \"workload\": \"64 message chains x 14000 hops + 32 dram chains x 2000 round trips, 8-node machine\",\n"
-               "  \"repetitions\": %d,\n"
-               "  \"events\": %llu,\n"
-               "  \"messages\": %llu,\n"
-               "  \"dram_accesses\": %llu,\n"
-               "  \"final_tick\": %llu,\n"
-               "  \"wall_seconds\": %.6f,\n"
-               "  \"events_per_sec\": %.0f,\n"
-               "  \"events_per_sec_checked\": %.0f,\n"
-               "  \"checker_cost_pct\": %.2f,\n"
-               "  \"events_per_sec_checked_4shards\": %.0f,\n"
-               "  \"checker_cost_pct_4shards\": %.2f,\n"
-               "  \"shadow_peak_bytes\": %llu,\n"
-               "  \"baseline_events_per_sec\": %.0f,\n"
-               "  \"vs_baseline_regress_pct\": %.2f,\n"
-               "  \"max_queue_depth\": %llu,\n"
-               "  \"engine\": {\n"
-               "    \"far_events\": %llu,\n"
-               "    \"bucket_sorts\": %llu,\n"
-               "    \"msg_pool_capacity\": %u,\n"
-               "    \"dram_pool_capacity\": %u\n"
-               "  },\n"
-               "  \"shard_sweep\": [\n",
-               kReps, (unsigned long long)best.events, (unsigned long long)best.messages,
-               (unsigned long long)best.dram_accesses, (unsigned long long)best.final_tick,
-               best.wall_seconds, best.events_per_sec, checked.events_per_sec,
-               checker_cost_pct, checked4.events_per_sec, checker_cost_pct_4shards,
-               (unsigned long long)checked.shadow_peak_bytes,
-               kBaselineEventsPerSec, vs_baseline_pct,
-               (unsigned long long)best.max_queue_depth,
-               (unsigned long long)best.engine.far_events,
-               (unsigned long long)best.engine.bucket_sorts, best.engine.msg_pool_capacity,
-               best.engine.dram_pool_capacity);
-  for (int s = 0; s < 4; ++s)
-    std::fprintf(f,
-                 "    {\"shards\": %u, \"events_per_sec\": %.0f, \"windows\": %llu, "
-                 "\"mailbox_events\": %llu}%s\n",
-                 kSweep[s], sweep[s].events_per_sec,
-                 (unsigned long long)sweep[s].engine.windows,
-                 (unsigned long long)sweep[s].engine.mailbox_messages,
-                 s < 3 ? "," : "");
-  std::fprintf(f,
-               "  ],\n"
-               "  \"speedup_4_shards\": %.3f,\n"
-               "  \"shard_counts_identical\": %s,\n"
-               "  \"checked_counts_identical\": %s\n"
-               "}\n",
-               speedup4, sweep_counts_ok ? "true" : "false",
-               checked_counts_ok ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote BENCH_micro_sim.json\n");
 
   if (!sweep_counts_ok) return 1;    // sharded schedule diverged: always fatal
   if (!checked_counts_ok) return 1;  // checking perturbed the run: always fatal
