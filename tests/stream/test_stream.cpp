@@ -206,6 +206,37 @@ TEST(StreamRefresh, HostStagedEpochsTrackFromScratchBaselines) {
   EXPECT_TRUE(m.idle());
 }
 
+// A plain kPageRank query may read the session's resident graph. The shared
+// PageRank map divides each rank by the record's owner degree, so compaction
+// must rewrite that field along with the degree and the neighbour pointer.
+TEST(StreamRefresh, ServePageRankOnResidentGraphAfterCompaction) {
+  Machine m(MachineConfig::scaled(2));
+  const Graph base = rmat(7, {}, 21);
+  StreamOptions opt;  // defaults, env-independent
+  auto& se = StreamEngine::install(m, base, opt);
+  auto& eng = serve::QueryEngine::install(m);
+
+  const auto recs = delta_recs(base.num_vertices(), 60, 5);
+  se.stage(recs);
+  ASSERT_GT(se.compact(m.now()).inserted, 0u);
+  const Graph post = apply_delta(base, recs);
+
+  serve::QuerySpec s;
+  s.kind = serve::QueryKind::kPageRank;
+  s.graph = se.resident().fwd;
+  s.iterations = 3;
+  s.name = "resident.pr";
+  const serve::QueryId q = eng.add_query(std::move(s));
+  eng.launch(q, m.now());
+  m.run();
+  ASSERT_TRUE(eng.done(q));
+  const std::vector<double> rank = eng.collect(q).rank;
+  const auto oracle = baseline::pagerank(post, 3);
+  ASSERT_EQ(rank.size(), oracle.size());
+  for (VertexId v = 0; v < post.num_vertices(); ++v)
+    ASSERT_NEAR(rank[v], oracle[v], 1e-9) << "vertex " << v;
+}
+
 TEST(StreamIngest, DevicePathMatchesHostStaging) {
   const Graph base = rmat(7, {}, 21);
   const auto recs = delta_recs(base.num_vertices(), 50, 3);  // 3200 B = 4 blocks
