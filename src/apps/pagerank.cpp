@@ -7,14 +7,16 @@ namespace updown::pr {
 // The app's binding of the shared kernel: its one graph and value arrays,
 // the Options damping, untagged combining-cache adds.
 struct AppSite {
-  static App& app(Ctx& ctx) { return ctx.machine().user<App>(); }
-  static const DeviceGraph& graph(Ctx& ctx, kvmsr::JobId) { return app(ctx).dg_; }
-  static Addr rank_base(Ctx& ctx, kvmsr::JobId) { return app(ctx).rank_base_; }
-  static Addr acc_base(Ctx& ctx, kvmsr::JobId) { return app(ctx).acc_base_; }
-  static Addr slot_table(Ctx& ctx, kvmsr::JobId) { return app(ctx).slot_tab_; }
-  static double damping(Ctx& ctx, kvmsr::JobId) { return app(ctx).opt_.damping; }
-  static Word tag(kvmsr::JobId) { return kvmsr::CombiningCache::kUntagged; }
-  static const KernelLabels& labels(Ctx& ctx) { return app(ctx).lb_; }
+  const App* app = nullptr;
+
+  static AppSite bind(Ctx& ctx, kvmsr::JobId) { return {&ctx.machine().user<App>()}; }
+  const DeviceGraph& graph() const { return app->dg_; }
+  Addr rank_base() const { return app->rank_base_; }
+  Addr acc_base() const { return app->acc_base_; }
+  Addr slot_table() const { return app->slot_tab_; }
+  double damping() const { return app->opt_.damping; }
+  Word tag() const { return kvmsr::CombiningCache::kUntagged; }
+  const KernelLabels& labels() const { return app->lb_; }
 };
 
 // ---------------------------------------------------------------------------

@@ -21,10 +21,12 @@
 // The kernel (PrMap/PrReduce/PrApply) is shared with the serve layer's
 // kPageRank query: a caller binds it through a Site type and supplies the
 // graph, its rank/accumulator/slot-table bases, the damping and the
-// combining-cache tag. The apply picks its head from the graph: a split graph
-// (num_vertices != num_original) reads v's slot range from the slot table and
-// sums its accumulator chunks; on an unsplit graph slot v is v, so it reads
-// the one accumulator word and goes straight to the shared tail.
+// combining-cache tag. Each task binds its Site once, from its job, and
+// keeps it for all its handlers. The apply picks its head from the graph: a
+// split graph (num_vertices != num_original) reads v's slot range from the
+// slot table and sums its accumulator chunks; on an unsplit graph slot v is
+// v, so it reads the one accumulator word and goes straight to the shared
+// tail.
 #pragma once
 
 #include <algorithm>
@@ -125,22 +127,25 @@ class App {
 };
 
 // ---------------------------------------------------------------------------
-// The kernel. `Site` binds it to one caller through static members, each
-// resolved from the running task's job:
-//   const DeviceGraph& graph(Ctx&, kvmsr::JobId)
-//   Addr rank_base(Ctx&, kvmsr::JobId)   f64 rank per original vertex
-//   Addr acc_base(Ctx&, kvmsr::JobId)    f64 accumulator per slot
-//   Addr slot_table(Ctx&, kvmsr::JobId)  slot_offset words; read only when
-//                                        the graph is split
-//   double damping(Ctx&, kvmsr::JobId)
-//   Word tag(kvmsr::JobId)               combining-cache tag of the adds
-//   const KernelLabels& labels(Ctx&)     what register_kernel<Site> returned
+// The kernel. `Site` binds it to one caller: a default-constructible value
+// made once per task by
+//   static Site bind(Ctx&, kvmsr::JobId)  resolve the running task's job
+// and read through its members:
+//   const DeviceGraph& graph() const
+//   Addr rank_base() const    f64 rank per original vertex
+//   Addr acc_base() const     f64 accumulator per slot
+//   Addr slot_table() const   slot_offset words; read only when the graph
+//                             is split
+//   double damping() const
+//   Word tag() const          combining-cache tag of the adds
+//   const KernelLabels& labels() const  what register_kernel<Site> returned
 // ---------------------------------------------------------------------------
 
 /// Propagate map, one task per (sub-)vertex (Listing 3's PageRankWorker).
 template <class Site>
 struct PrMap : kvmsr::MapTask {
   kvmsr::JobId job = 0;
+  Site site;
   Word degree = 0;
   Word nbr_ptr = 0;
   Word owner = 0;
@@ -151,9 +156,10 @@ struct PrMap : kvmsr::MapTask {
   void kv_map(Ctx& ctx) {
     kvmsr_begin(ctx);
     job = kvmsr::Library::map_job(ctx);
+    site = Site::bind(ctx, job);
     const Word v = kvmsr::Library::map_key(ctx);
     // One read returns the whole 8-word vertex record.
-    ctx.send_dram_read(Site::graph(ctx, job).vertex_addr(v), 8, Site::labels(ctx).v_loaded);
+    ctx.send_dram_read(site.graph().vertex_addr(v), 8, site.labels().v_loaded);
   }
 
   void v_loaded(Ctx& ctx) {
@@ -166,7 +172,7 @@ struct PrMap : kvmsr::MapTask {
       ctx.machine().service<kvmsr::Library>().map_return(ctx, kvmsr_cont);
       return;
     }
-    ctx.send_dram_read(Site::rank_base(ctx, job) + owner * 8, 1, Site::labels(ctx).r_loaded);
+    ctx.send_dram_read(site.rank_base() + owner * 8, 1, site.labels().r_loaded);
   }
 
   void r_loaded(Ctx& ctx) {
@@ -174,7 +180,7 @@ struct PrMap : kvmsr::MapTask {
     ctx.charge(2);
     // Issue all neighbor-chunk reads up front: memory parallelism
     // proportional to the edges (Section 4.1.2).
-    const EventLabel nbrs = Site::labels(ctx).n_loaded;
+    const EventLabel nbrs = site.labels().n_loaded;
     for (Word i = 0; i < degree; i += 8) {
       const unsigned n = static_cast<unsigned>(std::min<Word>(8, degree - i));
       ctx.charge(2);  // loop control + address arithmetic
@@ -200,8 +206,9 @@ struct PrReduce : ThreadState {
     const kvmsr::JobId job = kvmsr::Library::reduce_job(ctx);
     const Word slot = kvmsr::Library::reduce_key(ctx);
     const double c = std::bit_cast<double>(kvmsr::Library::reduce_val(ctx));
+    const Site site = Site::bind(ctx, job);
     ctx.machine().service<kvmsr::CombiningCache>().add_f64(
-        ctx, Site::acc_base(ctx, job) + slot * 8, c, Site::tag(job));
+        ctx, site.acc_base() + slot * 8, c, site.tag());
     ctx.machine().service<kvmsr::Library>().reduce_return(ctx, job);
   }
 };
@@ -211,7 +218,7 @@ struct PrReduce : ThreadState {
 /// new rank, and zero the slots for the next iteration.
 template <class Site>
 struct PrApply : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
+  Site site;
   Word v = 0;
   Word first_slot = 0, end_slot = 0;
   double sum = 0.0;
@@ -220,18 +227,17 @@ struct PrApply : kvmsr::MapTask {
 
   void kv_map(Ctx& ctx) {
     kvmsr_begin(ctx);
-    job = kvmsr::Library::map_job(ctx);
+    site = Site::bind(ctx, kvmsr::Library::map_job(ctx));
     v = kvmsr::Library::map_key(ctx);
-    const DeviceGraph& g = Site::graph(ctx, job);
-    const KernelLabels& lb = Site::labels(ctx);
+    const DeviceGraph& g = site.graph();
     if (g.num_vertices != g.num_original) {
-      ctx.send_dram_read(Site::slot_table(ctx, job) + v * 8, 2, lb.o_loaded);
+      ctx.send_dram_read(site.slot_table() + v * 8, 2, site.labels().o_loaded);
       return;
     }
     // Unsplit: slot v is v, one accumulator word and no chunk loop.
     first_slot = v;
     end_slot = v + 1;
-    ctx.send_dram_read(Site::acc_base(ctx, job) + v * 8, 1, lb.a_word);
+    ctx.send_dram_read(site.acc_base() + v * 8, 1, site.labels().a_word);
   }
 
   void o_loaded(Ctx& ctx) {
@@ -239,8 +245,8 @@ struct PrApply : kvmsr::MapTask {
     end_slot = ctx.op(1);
     chunks_expected = ceil_div(end_slot - first_slot, 8);
     ctx.charge(2);
-    const Addr acc = Site::acc_base(ctx, job);
-    const EventLabel loaded = Site::labels(ctx).a_loaded;
+    const Addr acc = site.acc_base();
+    const EventLabel loaded = site.labels().a_loaded;
     for (Word s = first_slot; s < end_slot; s += 8) {
       const unsigned n = static_cast<unsigned>(std::min<Word>(8, end_slot - s));
       ctx.charge(2);
@@ -268,17 +274,16 @@ struct PrApply : kvmsr::MapTask {
 
  private:
   void apply(Ctx& ctx) {
-    const double n = static_cast<double>(Site::graph(ctx, job).num_original);
-    const double d = Site::damping(ctx, job);
+    const double n = static_cast<double>(site.graph().num_original);
+    const double d = site.damping();
     const double rank = (1.0 - d) / n + d * sum;
     ctx.charge(4);
     // Acked writes: the next iteration must not read stale ranks or stale
     // accumulators.
-    const EventLabel written = Site::labels(ctx).a_written;
+    const EventLabel written = site.labels().a_written;
     acks_expected = 1 + static_cast<unsigned>(ceil_div(end_slot - first_slot, 8));
-    ctx.send_dram_write(Site::rank_base(ctx, job) + v * 8, {std::bit_cast<Word>(rank)},
-                        written);
-    const Addr acc = Site::acc_base(ctx, job);
+    ctx.send_dram_write(site.rank_base() + v * 8, {std::bit_cast<Word>(rank)}, written);
+    const Addr acc = site.acc_base();
     const Word zeros[8] = {};
     for (Word s = first_slot; s < end_slot; s += 8) {
       const unsigned k = static_cast<unsigned>(std::min<Word>(8, end_slot - s));

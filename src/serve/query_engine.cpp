@@ -247,19 +247,21 @@ struct SqPcReduce : ThreadState {
 // add_query admits only unsplit graphs, so the apply never reads a slot
 // table.
 struct SqPrSite {
-  static QueryEngine& eng(Ctx& ctx) { return ctx.machine().service<QueryEngine>(); }
-  static QueryEngine::Query& query(Ctx& ctx, kvmsr::JobId job) {
-    return eng(ctx).query_of_job(job);
+  const QueryEngine* eng = nullptr;
+  const QueryEngine::Query* q = nullptr;
+  kvmsr::JobId job = 0;
+
+  static SqPrSite bind(Ctx& ctx, kvmsr::JobId job) {
+    auto& eng = ctx.machine().service<QueryEngine>();
+    return {&eng, &eng.query_of_job(job), job};
   }
-  static const DeviceGraph& graph(Ctx& ctx, kvmsr::JobId job) {
-    return *query(ctx, job).spec.graph;
-  }
-  static Addr rank_base(Ctx& ctx, kvmsr::JobId job) { return query(ctx, job).rank_base; }
-  static Addr acc_base(Ctx& ctx, kvmsr::JobId job) { return query(ctx, job).acc_base; }
-  static Addr slot_table(Ctx&, kvmsr::JobId) { return 0; }
-  static double damping(Ctx& ctx, kvmsr::JobId job) { return query(ctx, job).spec.damping; }
-  static Word tag(kvmsr::JobId job) { return job; }
-  static const pr::KernelLabels& labels(Ctx& ctx) { return eng(ctx).lb_.pr; }
+  const DeviceGraph& graph() const { return *q->spec.graph; }
+  Addr rank_base() const { return q->rank_base; }
+  Addr acc_base() const { return q->acc_base; }
+  Addr slot_table() const { return 0; }
+  double damping() const { return q->spec.damping; }
+  Word tag() const { return job; }
+  const pr::KernelLabels& labels() const { return eng->lb_.pr; }
 };
 
 // Triangle count: the tc app's kernel, bound to the query's graph, its
