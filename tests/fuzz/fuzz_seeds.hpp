@@ -5,8 +5,9 @@
 //
 // replays exactly the failing case (and nothing else). Without UD_FUZZ_SEED
 // a sweep runs UD_FUZZ_CASES case seeds derived from the master seed
-// UD_FUZZ_MASTER (default fixed); CI's nightly job passes a date-derived
-// master so the corpus moves every night yet any night's run is
+// UD_FUZZ_MASTER (default fixed). Case i's seed is splitmix64(master + i),
+// so masters closer together than the case count share cases; CI's nightly
+// job passes the date times 10^6, so each night's corpus is new yet
 // reproducible, and each failure still reports its single-case repro seed.
 #pragma once
 
