@@ -1,6 +1,7 @@
 #include "check/checker.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <tuple>
 
@@ -11,6 +12,29 @@ namespace updown {
 
 namespace {
 constexpr unsigned kPlainMessageOperands = 6;  ///< 64B msg: evw + cont + 6 words
+
+/// A message's checked fields in a log record (w[2..4]) and back: the
+/// replay needs the event word, continuation, source lane and operand count.
+void put_msg(CheckRec& r, const Message& m) {
+  r.w[2] = m.evw;
+  r.w[3] = m.cont;
+  r.w[4] = static_cast<std::uint64_t>(m.src) | (static_cast<std::uint64_t>(m.nops) << 32);
+}
+
+Message get_msg(const CheckRec& r) {
+  Message m;
+  m.evw = r.w[2];
+  m.cont = r.w[3];
+  m.src = static_cast<NetworkId>(r.w[4] & 0xFFFFFFFFull);
+  m.nops = static_cast<std::uint8_t>(r.w[4] >> 32);
+  return m;
+}
+
+CheckRec rec(CheckRec::Kind kind) {
+  CheckRec r;
+  r.kind = kind;
+  return r;
+}
 }  // namespace
 
 const char* check_kind_name(CheckKind k) {
@@ -39,6 +63,14 @@ Checker::Checker(Machine& m, bool sp_strict, std::uint32_t nshards)
   // materializes only for lanes that actually run threads.
   lifetimes_.emplace_back();  // [0] = the host (TOP core), alive forever
   logs_.resize(nshards_);
+  if (deferred()) {
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true))
+      std::fprintf(stderr,
+                   "[UDCHECK] note: running with %u engine shards — checking "
+                   "is deferred to window-boundary replay\n",
+                   nshards_);
+  }
 }
 
 Checker::~Checker() = default;
@@ -574,8 +606,7 @@ void Checker::on_host_send(Tick now, std::uint32_t ent, std::uint32_t seq) {
   // Host injections route from shard 0 while the engine is idle, so logging
   // them under shard 0 keeps that log key-sorted: every event the run later
   // executes arrives at least one network latency after `now`.
-  CheckRec r;
-  r.kind = CheckRec::kHostSend;
+  CheckRec r = rec(CheckRec::kHostSend);
   r.w[0] = now;
   r.d = ent;
   r.w[1] = seq;
@@ -599,8 +630,7 @@ void Checker::bad_route_diag(Word evw_word, Tick depart) {
 
 bool Checker::on_bad_route(EngineShard& sh, Word evw_word, Tick depart) {
   if (deferred()) {
-    CheckRec r;
-    r.kind = CheckRec::kBadRoute;
+    CheckRec r = rec(CheckRec::kBadRoute);
     r.w[2] = evw_word;
     r.w[0] = depart;
     log_of(sh).push_back(r);
@@ -686,8 +716,20 @@ void Checker::route_message_m(MsgMeta& meta, const Message& m, Tick depart) {
   acquire_msg_refs(meta);
 }
 
-void Checker::on_route_message(std::uint32_t idx, Tick depart) {
-  route_message_m(msg_meta(idx), m_.shard0().msg_pool[idx], depart);
+void Checker::on_route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
+                               const Message& m, std::uint32_t slot, Tick depart) {
+  if (!deferred()) {
+    route_message_m(msg_meta(slot), m, depart);
+    return;
+  }
+  // Cross-shard sends too: the clock stamping happens at the replay, which
+  // carries the stamp to the delivery through the (ent, seq) stash.
+  CheckRec r = rec(CheckRec::kRouteMsg);
+  r.d = ent;
+  r.w[0] = depart;
+  r.w[1] = seq;
+  put_msg(r, m);
+  log_of(sh).push_back(r);
 }
 
 void Checker::route_dram_m(DramMeta& meta, const DramRequest& r, bool addr_mapped,
@@ -726,8 +768,23 @@ void Checker::route_dram_m(DramMeta& meta, const DramRequest& r, bool addr_mappe
   meta.holds_ref = true;
 }
 
-void Checker::on_route_dram(std::uint32_t idx, bool addr_mapped, Tick depart) {
-  route_dram_m(dram_meta(idx), m_.shard0().dram_pool[idx], addr_mapped, depart);
+void Checker::on_route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
+                            const DramRequest& r, std::uint32_t slot, bool addr_mapped,
+                            Tick depart) {
+  if (!deferred()) {
+    route_dram_m(dram_meta(slot), r, addr_mapped, depart);
+    return;
+  }
+  CheckRec rc = rec(CheckRec::kRouteDram);
+  rc.d = ent;
+  rc.w[0] = depart;
+  rc.w[1] = seq;
+  rc.w[2] = r.addr;
+  rc.w[3] = r.reply_evw;
+  rc.w[4] = r.reply_cont;
+  rc.b = r.nwords;
+  rc.c = static_cast<std::uint16_t>((r.is_write ? 1 : 0) | (addr_mapped ? 2 : 0));
+  log_of(sh).push_back(rc);
 }
 
 // ---- Delivery / execution hooks --------------------------------------------
@@ -778,8 +835,56 @@ bool Checker::pre_deliver_m(MsgMeta& meta, const Message& m, Tick start) {
   return true;
 }
 
-bool Checker::on_pre_deliver(std::uint32_t idx, Tick start) {
-  return pre_deliver_m(msg_meta(idx), m_.shard0().msg_pool[idx], start);
+std::vector<CheckRec>& Checker::log_of(EngineShard& sh) { return logs_[sh.id]; }
+
+bool Checker::deliverable(const Message& m) const {
+  const EventLabel label = evw::label(m.evw);
+  if (label == 0 || label > m_.program().size()) return false;
+  return evw::is_new_thread(m.evw) || Lane(m_.lanes_, evw::nwid(m.evw)).alive(evw::tid(m.evw));
+}
+
+bool Checker::on_pre_deliver(EngineShard& sh, Tick t, std::uint32_t ent, std::uint32_t seq,
+                             const Message& m, std::uint32_t slot, Tick start) {
+  if (!deferred()) {
+    dlv_meta_ = &msg_meta(slot);
+    dlv_msg_ = &m;
+    return pre_deliver_m(*dlv_meta_, m, start);
+  }
+  auto& lg = log_of(sh);
+  CheckRec r = rec(CheckRec::kBeginMsg);
+  r.w[0] = t;
+  r.d = ent;
+  r.w[1] = seq;
+  put_msg(r, m);
+  r.w[5] = start;
+  lg.push_back(r);
+  // Suppressed deliveries must not execute, but the diagnostics themselves
+  // wait for the replay.
+  const bool ok = deliverable(m);
+  if (!ok) lg.push_back(rec(CheckRec::kPreDeliverFail));
+  return ok;
+}
+
+bool Checker::on_inline_begin(EngineShard& sh, const Message& m, Tick start) {
+  if (!deferred()) {
+    if (open_inline(m, start)) return true;
+    close_inline();
+    return false;
+  }
+  auto& lg = log_of(sh);
+  CheckRec r = rec(CheckRec::kInlineBegin);
+  r.w[0] = start;
+  put_msg(r, m);
+  lg.push_back(r);
+  if (deliverable(m)) return true;
+  lg.push_back(rec(CheckRec::kPreDeliverFail));
+  lg.push_back(rec(CheckRec::kInlineEnd));
+  return false;
+}
+
+void Checker::on_inline_end(EngineShard& sh) {
+  if (deferred()) log_of(sh).push_back(rec(CheckRec::kInlineEnd));
+  else close_inline();
 }
 
 void Checker::class_mismatch_m(MsgMeta& meta, const Message& m, NetworkId lane,
@@ -793,9 +898,17 @@ void Checker::class_mismatch_m(MsgMeta& meta, const Message& m, NetworkId lane,
   release_msg_meta(meta);
 }
 
-void Checker::on_class_mismatch(std::uint32_t idx, NetworkId lane, ThreadId tid,
+void Checker::on_class_mismatch(EngineShard& sh, NetworkId lane, ThreadId tid,
                                 Tick start) {
-  class_mismatch_m(msg_meta(idx), m_.shard0().msg_pool[idx], lane, tid, start);
+  if (!deferred()) {
+    class_mismatch_m(*dlv_meta_, *dlv_msg_, lane, tid, start);
+    return;
+  }
+  CheckRec r = rec(CheckRec::kClassMismatch);
+  r.d = lane;
+  r.c = static_cast<std::uint16_t>(tid);
+  r.w[0] = start;
+  log_of(sh).push_back(r);
 }
 
 void Checker::task_begin_m(MsgMeta& meta, const Message& m, NetworkId lane, ThreadId tid,
@@ -820,13 +933,34 @@ void Checker::task_begin_m(MsgMeta& meta, const Message& m, NetworkId lane, Thre
   release_msg_meta(meta);
 }
 
-void Checker::on_task_begin(std::uint32_t idx, NetworkId lane, ThreadId tid,
+void Checker::on_task_begin(EngineShard& sh, NetworkId lane, ThreadId tid,
                             EventLabel label, Tick start, bool new_thread) {
-  task_begin_m(msg_meta(idx), m_.shard0().msg_pool[idx], lane, tid, label, start,
-               new_thread);
+  if (!deferred()) {
+    task_begin_m(*dlv_meta_, *dlv_msg_, lane, tid, label, start, new_thread);
+    return;
+  }
+  CheckRec r = rec(CheckRec::kTaskBegin);
+  r.d = lane;
+  r.c = static_cast<std::uint16_t>(tid);
+  r.w[1] = label;
+  r.w[0] = start;
+  r.b = new_thread ? 1 : 0;
+  log_of(sh).push_back(r);
 }
 
-void Checker::on_task_end(NetworkId lane, ThreadId tid, bool terminated) {
+void Checker::on_task_end(EngineShard& sh, NetworkId lane, ThreadId tid, bool terminated) {
+  if (!deferred()) {
+    task_end(lane, tid, terminated);
+    return;
+  }
+  CheckRec r = rec(CheckRec::kTaskEnd);
+  r.d = lane;
+  r.c = static_cast<std::uint16_t>(tid);
+  r.b = terminated ? 1 : 0;
+  log_of(sh).push_back(r);
+}
+
+void Checker::task_end(NetworkId lane, ThreadId tid, bool terminated) {
   if (terminated) {
     const LifetimeId lt = slot_lifetime(lane, tid);
     Lifetime& l = lifetimes_[lt];
@@ -884,28 +1018,65 @@ void Checker::dram_race_words(DramMeta& meta, Addr addr, unsigned nwords, bool i
   }
 }
 
-bool Checker::on_dram_exec(std::uint32_t idx, Tick now) {
-  DramMeta& meta = dram_meta(idx);
-  const DramRequest& r = m_.shard0().dram_pool[idx];
+bool Checker::dram_mapped(EngineShard& sh, const DramRequest& r, Addr& bad_va) const {
   const GlobalMemory& mem = m_.memory();
-
-  // 1. Lifetime sanitize: every word of the request must fall in a live
-  //    region (a request may legally span two adjacent regions only if both
-  //    are live). The common whole-request-in-one-region case is one lookup.
-  const SwizzleDescriptor* d = mem.find_live(r.addr);
-  const Addr end = r.addr + 8ull * r.nwords;
-  if (!(d && end <= d->end())) {
-    for (unsigned i = 0; i < r.nwords; ++i) {
-      const Addr va = r.addr + 8ull * i;
-      if (mem.find_live(va)) continue;
-      dram_fault_diag(meta.stamp, r.nwords, r.is_write, va, mem.find_freed(va), now);
-      return false;  // one diagnostic per request; suppress the whole access
-    }
+  // A sharded checker looks up through the executing shard's descriptor
+  // snapshot (refresh-on-miss): the same verdict, without the unlocked
+  // global table walk that would race with other shards' allocations.
+  const auto live = [&](Addr va) {
+    return deferred() ? mem.find_snap(va, sh.mem_snap) : mem.find_live(va);
+  };
+  // The common whole-request-in-one-region case is one lookup.
+  const SwizzleDescriptor* d = live(r.addr);
+  if (d && r.addr + 8ull * r.nwords <= d->end()) return true;
+  for (unsigned i = 0; i < r.nwords; ++i) {
+    const Addr va = r.addr + 8ull * i;
+    if (live(va)) continue;
+    bad_va = va;
+    return false;
   }
-
-  // 2. Race-check each word at the requester's send-time clock.
-  dram_race_words(meta, r.addr, r.nwords, r.is_write, now);
   return true;
+}
+
+bool Checker::on_dram_exec(EngineShard& sh, Tick t, std::uint32_t ent, std::uint32_t seq,
+                           const DramRequest& r, std::uint32_t slot, Tick now) {
+  Addr bad_va = 0;
+  const bool ok = dram_mapped(sh, r, bad_va);
+  if (!deferred()) {
+    DramMeta& meta = dram_meta(slot);
+    // One diagnostic per faulting request; the whole access is suppressed.
+    if (!ok)
+      dram_fault_diag(meta.stamp, r.nwords, r.is_write, bad_va, m_.memory().find_freed(bad_va),
+                      now);
+    else
+      dram_race_words(meta, r.addr, r.nwords, r.is_write, now);
+    return ok;
+  }
+  auto& lg = log_of(sh);
+  CheckRec b = rec(CheckRec::kBeginDram);
+  b.w[0] = t;
+  b.d = ent;
+  b.w[1] = seq;
+  lg.push_back(b);
+  CheckRec e = rec(CheckRec::kDramExec);
+  e.w[0] = now;
+  e.b = ok ? 1 : 0;
+  lg.push_back(e);
+  if (!ok) {
+    // The fault details ride in the log; the diagnostic is emitted at replay.
+    FreedRegion freed{};
+    CheckRec f = rec(CheckRec::kDramFault);
+    f.b = m_.memory().find_freed_locked(bad_va, &freed) ? 1 : 0;
+    f.w[2] = bad_va;
+    if (f.b) {
+      f.w[0] = freed.base;
+      f.w[1] = freed.size;
+      f.w[3] = freed.alloc_seq;
+      f.w[4] = freed.free_seq;
+    }
+    lg.push_back(f);
+  }
+  return ok;
 }
 
 void Checker::begin_dram_reply_m(DramMeta& meta) {
@@ -917,7 +1088,10 @@ void Checker::begin_dram_reply_m(DramMeta& meta) {
   origin_cont_pending_ = meta.cont_pending;
 }
 
-void Checker::begin_dram_reply(std::uint32_t idx) { begin_dram_reply_m(dram_meta(idx)); }
+void Checker::on_dram_reply(EngineShard& sh, std::uint32_t slot) {
+  if (deferred()) log_of(sh).push_back(rec(CheckRec::kDramReplyBegin));
+  else begin_dram_reply_m(dram_meta(slot));
+}
 
 void Checker::dram_done_m(DramMeta& meta) {
   if (meta.holds_ref) {
@@ -933,7 +1107,10 @@ void Checker::dram_done_m(DramMeta& meta) {
   origin_host_ep_ = 0;
 }
 
-void Checker::on_dram_done(std::uint32_t idx) { dram_done_m(dram_meta(idx)); }
+void Checker::on_dram_done(EngineShard& sh, std::uint32_t slot) {
+  if (deferred()) log_of(sh).push_back(rec(CheckRec::kDramDone));
+  else dram_done_m(dram_meta(slot));
+}
 
 bool Checker::sp_access_check(NetworkId lane, std::uint64_t offset, std::size_t bytes,
                               bool is_write, Tick now) {
@@ -969,8 +1146,7 @@ bool Checker::on_sp_access(EngineShard& sh, NetworkId lane, std::uint64_t offset
     // Non-strict mode only ever reports OOB, so only OOB accesses need a
     // record; strict mode race-checks every access and logs them all.
     if (oob || sp_strict_) {
-      CheckRec r;
-      r.kind = CheckRec::kSpAccess;
+      CheckRec r = rec(CheckRec::kSpAccess);
       r.d = lane;
       r.w[2] = offset;
       r.w[1] = bytes;
@@ -1024,8 +1200,7 @@ void Checker::sync_acquire_check(NetworkId lane, std::uint64_t slot) {
 
 void Checker::on_sync_release(EngineShard& sh, NetworkId lane, std::uint64_t slot) {
   if (deferred()) {
-    CheckRec r;
-    r.kind = CheckRec::kSyncRelease;
+    CheckRec r = rec(CheckRec::kSyncRelease);
     r.d = lane;
     r.w[2] = slot;
     log_of(sh).push_back(r);
@@ -1036,8 +1211,7 @@ void Checker::on_sync_release(EngineShard& sh, NetworkId lane, std::uint64_t slo
 
 void Checker::on_sync_acquire(EngineShard& sh, NetworkId lane, std::uint64_t slot) {
   if (deferred()) {
-    CheckRec r;
-    r.kind = CheckRec::kSyncAcquire;
+    CheckRec r = rec(CheckRec::kSyncAcquire);
     r.d = lane;
     r.w[2] = slot;
     log_of(sh).push_back(r);
@@ -1046,24 +1220,51 @@ void Checker::on_sync_acquire(EngineShard& sh, NetworkId lane, std::uint64_t slo
   sync_acquire_check(lane, slot);
 }
 
-void Checker::push_origin() {
+bool Checker::open_inline(const Message& m, Tick start) {
+  Frame& f = frames_.emplace_back();
+  f.m = m;
+  // The nested task's begin/end overwrite the origin; save the caller's.
+  f.origin = origin_;
+  f.stamp = origin_stamp_;
   snap_ref(origin_snap_);  // the saved copy holds its own pool ref
-  origin_stack_.push_back(SavedOrigin{origin_, origin_stamp_, origin_snap_,
-                                      origin_ext_, origin_host_ep_,
-                                      origin_cont_pending_});
+  f.snap = origin_snap_;
+  f.ext = origin_ext_;
+  f.host_ep = origin_host_ep_;
+  f.cont_pending = origin_cont_pending_;
+  route_message_m(f.meta, f.m, start);
+  dlv_meta_ = &f.meta;
+  dlv_msg_ = &f.m;
+  return pre_deliver_m(f.meta, f.m, start);
 }
 
-void Checker::pop_origin() {
-  if (origin_stack_.empty()) return;  // defensive: replay of a truncated group
-  const SavedOrigin& s = origin_stack_.back();
-  origin_ = s.origin;
-  origin_stamp_ = s.stamp;
+void Checker::close_inline() {
+  dlv_meta_ = nullptr;
+  dlv_msg_ = nullptr;
+  if (frames_.empty()) return;  // defensive: replay of a truncated group
+  Frame& f = frames_.back();
+  release_msg_meta(f.meta);
+  origin_ = f.origin;
+  origin_stamp_ = f.stamp;
   snap_unref(origin_snap_);
-  origin_snap_ = s.snap;  // the saved ref transfers back
-  origin_ext_ = s.ext;
-  origin_host_ep_ = s.host_ep;
-  origin_cont_pending_ = s.cont_pending;
-  origin_stack_.pop_back();
+  origin_snap_ = f.snap;  // the saved ref transfers back
+  origin_ext_ = f.ext;
+  origin_host_ep_ = f.host_ep;
+  origin_cont_pending_ = f.cont_pending;
+  frames_.pop_back();
+}
+
+void Checker::clear_origin() {
+  for (Frame& f : frames_) {
+    release_msg_meta(f.meta);
+    snap_unref(f.snap);
+  }
+  frames_.clear();
+  dlv_meta_ = nullptr;
+  dlv_msg_ = nullptr;
+  origin_ = Origin::kNone;
+  snap_clear(origin_snap_);
+  origin_ext_ = InlineVC{};
+  origin_host_ep_ = 0;
 }
 
 void Checker::check_access(ShadowCell& cell, const Stamp& cur, const ClockView& view,
@@ -1114,205 +1315,6 @@ void Checker::check_access(ShadowCell& cell, const Stamp& cur, const ClockView& 
   } else {
     add_reader(cell, cur, view);
   }
-}
-
-// ---- Deferred-mode engine hooks --------------------------------------------
-
-std::vector<CheckRec>& Checker::log_of(EngineShard& sh) { return logs_[sh.id]; }
-
-void Checker::defer_route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
-                                  const Message& m, Tick depart) {
-  CheckRec r;
-  r.kind = CheckRec::kRouteMsg;
-  r.d = ent;
-  r.w[0] = depart;
-  r.w[1] = seq;
-  r.w[2] = m.evw;
-  r.w[3] = m.cont;
-  r.w[4] = static_cast<std::uint64_t>(m.src) | (static_cast<std::uint64_t>(m.nops) << 32);
-  log_of(sh).push_back(r);
-}
-
-void Checker::defer_route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
-                               const DramRequest& r, bool addr_mapped, Tick depart) {
-  CheckRec rec;
-  rec.kind = CheckRec::kRouteDram;
-  rec.d = ent;
-  rec.w[0] = depart;
-  rec.w[1] = seq;
-  rec.w[2] = r.addr;
-  rec.w[3] = r.reply_evw;
-  rec.w[4] = r.reply_cont;
-  rec.b = r.nwords;
-  rec.c = static_cast<std::uint16_t>((r.is_write ? 1 : 0) | (addr_mapped ? 2 : 0));
-  log_of(sh).push_back(rec);
-}
-
-bool Checker::defer_pre_deliver(EngineShard& sh, Tick t, std::uint32_t ent,
-                                std::uint32_t seq, const Message& m, Tick start) {
-  auto& lg = log_of(sh);
-  CheckRec r;
-  r.kind = CheckRec::kBeginMsg;
-  r.w[0] = t;
-  r.d = ent;
-  r.w[1] = seq;
-  r.w[2] = m.evw;
-  r.w[3] = m.cont;
-  r.w[4] = static_cast<std::uint64_t>(m.src) | (static_cast<std::uint64_t>(m.nops) << 32);
-  r.w[5] = start;
-  lg.push_back(r);
-
-  // Online verdict from engine-owned state only (program table + this
-  // shard's lane cores): suppressed deliveries must not execute, but the
-  // diagnostics themselves wait for the replay.
-  const EventLabel label = evw::label(m.evw);
-  bool ok = !(label == 0 || label > m_.program().size());
-  if (ok && !evw::is_new_thread(m.evw))
-    ok = Lane(m_.lanes_, evw::nwid(m.evw)).alive(evw::tid(m.evw));
-  if (!ok) {
-    CheckRec f;
-    f.kind = CheckRec::kPreDeliverFail;
-    lg.push_back(f);
-  }
-  return ok;
-}
-
-void Checker::defer_class_mismatch(EngineShard& sh, NetworkId lane, ThreadId tid,
-                                   Tick start) {
-  CheckRec r;
-  r.kind = CheckRec::kClassMismatch;
-  r.d = lane;
-  r.c = tid;
-  r.w[0] = start;
-  log_of(sh).push_back(r);
-}
-
-void Checker::defer_task_begin(EngineShard& sh, NetworkId lane, ThreadId tid,
-                               EventLabel label, Tick start, bool new_thread) {
-  CheckRec r;
-  r.kind = CheckRec::kTaskBegin;
-  r.d = lane;
-  r.c = tid;
-  r.w[1] = label;
-  r.w[0] = start;
-  r.b = new_thread ? 1 : 0;
-  log_of(sh).push_back(r);
-}
-
-void Checker::defer_task_end(EngineShard& sh, NetworkId lane, ThreadId tid,
-                             bool terminated) {
-  CheckRec r;
-  r.kind = CheckRec::kTaskEnd;
-  r.d = lane;
-  r.c = tid;
-  r.b = terminated ? 1 : 0;
-  log_of(sh).push_back(r);
-}
-
-void Checker::defer_dram_begin(EngineShard& sh, Tick t, std::uint32_t ent,
-                               std::uint32_t seq) {
-  CheckRec r;
-  r.kind = CheckRec::kBeginDram;
-  r.w[0] = t;
-  r.d = ent;
-  r.w[1] = seq;
-  log_of(sh).push_back(r);
-}
-
-bool Checker::defer_dram_exec(EngineShard& sh, const DramRequest& r, Tick now) {
-  auto& lg = log_of(sh);
-  const GlobalMemory& mem = m_.memory();
-  // Sanitize through this shard's descriptor snapshot (refresh-on-miss): the
-  // same verdict the serial checker reaches, without the unlocked global
-  // table walk that would race with other shards' allocations.
-  const SwizzleDescriptor* d = mem.find_snap(r.addr, sh.mem_snap);
-  const Addr end = r.addr + 8ull * r.nwords;
-  bool ok = d && end <= d->end();
-  Addr bad_va = 0;
-  FreedRegion freed{};
-  bool uaf = false;
-  if (!ok) {
-    ok = true;
-    for (unsigned i = 0; i < r.nwords; ++i) {
-      const Addr va = r.addr + 8ull * i;
-      if (mem.find_snap(va, sh.mem_snap)) continue;
-      ok = false;
-      bad_va = va;
-      uaf = mem.find_freed_locked(va, &freed);
-      break;
-    }
-  }
-  CheckRec e;
-  e.kind = CheckRec::kDramExec;
-  e.w[0] = now;
-  e.b = ok ? 1 : 0;
-  lg.push_back(e);
-  if (!ok) {
-    CheckRec f;
-    f.kind = CheckRec::kDramFault;
-    f.b = uaf ? 1 : 0;
-    f.w[2] = bad_va;
-    if (uaf) {
-      f.w[0] = freed.base;
-      f.w[1] = freed.size;
-      f.w[3] = freed.alloc_seq;
-      f.w[4] = freed.free_seq;
-    }
-    lg.push_back(f);
-  }
-  return ok;
-}
-
-void Checker::defer_dram_reply_begin(EngineShard& sh) {
-  CheckRec r;
-  r.kind = CheckRec::kDramReplyBegin;
-  log_of(sh).push_back(r);
-}
-
-void Checker::defer_dram_done(EngineShard& sh) {
-  CheckRec r;
-  r.kind = CheckRec::kDramDone;
-  log_of(sh).push_back(r);
-}
-
-bool Checker::defer_inline_begin(EngineShard& sh, const Message& m, Tick start) {
-  auto& lg = log_of(sh);
-  CheckRec r;
-  r.kind = CheckRec::kInlineBegin;
-  r.w[0] = start;
-  r.w[2] = m.evw;
-  r.w[3] = m.cont;
-  r.w[4] = static_cast<std::uint64_t>(m.src) | (static_cast<std::uint64_t>(m.nops) << 32);
-  lg.push_back(r);
-  if (!evw::is_new_thread(m.evw) &&
-      !Lane(m_.lanes_, evw::nwid(m.evw)).alive(evw::tid(m.evw))) {
-    CheckRec s;
-    s.kind = CheckRec::kInlineSuppress;
-    s.c = 0;  // pre-deliver failure
-    s.d = evw::nwid(m.evw);
-    s.w[1] = evw::tid(m.evw);
-    s.w[0] = start;
-    lg.push_back(s);
-    return false;
-  }
-  return true;
-}
-
-void Checker::defer_inline_class_mismatch(EngineShard& sh, NetworkId lane, ThreadId tid,
-                                          Tick start) {
-  CheckRec s;
-  s.kind = CheckRec::kInlineSuppress;
-  s.c = 1;  // class mismatch
-  s.d = lane;
-  s.w[1] = tid;
-  s.w[0] = start;
-  log_of(sh).push_back(s);
-}
-
-void Checker::defer_inline_end(EngineShard& sh) {
-  CheckRec r;
-  r.kind = CheckRec::kInlineEnd;
-  log_of(sh).push_back(r);
 }
 
 // ---- Deferred replay -------------------------------------------------------
@@ -1371,14 +1373,12 @@ void Checker::replay_pending() {
 void Checker::replay_group(std::uint32_t shard, const std::vector<CheckRec>& log,
                            std::size_t begin, std::size_t end) {
   replay_shard_ = static_cast<std::uint16_t>(shard);
+  clear_origin();
 
-  // Replay frames stand in for the engine's pooled payloads: the group's own
-  // message at the bottom, one frame per nested inline delivery above it.
-  struct Frame {
-    Message m;
-    MsgMeta meta;
-  };
-  std::vector<Frame> stack;
+  // The group's own message stands in for the engine's pooled payload; an
+  // inline delivery nested in it opens a frame above it, exactly as online.
+  Message gm;
+  MsgMeta gmeta;
   DramMeta dmeta;
   Addr daddr = 0;
   unsigned dnwords = 0;
@@ -1388,17 +1388,6 @@ void Checker::replay_group(std::uint32_t shard, const std::vector<CheckRec>& log
   const auto stash_key = [](std::uint32_t ent, std::uint64_t seq) {
     return (static_cast<std::uint64_t>(ent) << 32) | (seq & 0xFFFFFFFFull);
   };
-  const auto fill_msg = [](Message& m, const CheckRec& r) {
-    m.evw = r.w[2];
-    m.cont = r.w[3];
-    m.src = static_cast<NetworkId>(r.w[4] & 0xFFFFFFFFull);
-    m.nops = static_cast<std::uint8_t>(r.w[4] >> 32);
-  };
-
-  origin_ = Origin::kNone;
-  snap_clear(origin_snap_);
-  origin_ext_ = InlineVC{};
-  origin_host_ep_ = 0;
 
   const CheckRec& b = log[begin];
   switch (b.kind) {
@@ -1406,16 +1395,17 @@ void Checker::replay_group(std::uint32_t shard, const std::vector<CheckRec>& log
       origin_ = Origin::kHost;
       break;
     case CheckRec::kBeginMsg: {
-      stack.emplace_back();
-      fill_msg(stack.back().m, b);
+      gm = get_msg(b);
       // The send-time clock stamp crossed the window (or the shard) through
       // the stash, keyed by the sender's (entity, seq) identity.
       auto it = msg_stash_.find(stash_key(b.d, b.w[1]));
       if (it != msg_stash_.end()) {
-        stack.back().meta = std::move(it->second);
+        gmeta = std::move(it->second);
         msg_stash_.erase(it);
       }
-      pre_deliver_m(stack.back().meta, stack.back().m, b.w[5]);
+      dlv_meta_ = &gmeta;
+      dlv_msg_ = &gm;
+      pre_deliver_m(gmeta, gm, b.w[5]);
       break;
     }
     case CheckRec::kBeginDram: {
@@ -1437,10 +1427,8 @@ void Checker::replay_group(std::uint32_t shard, const std::vector<CheckRec>& log
     const CheckRec& r = log[i];
     switch (r.kind) {
       case CheckRec::kRouteMsg: {
-        Message m;
-        fill_msg(m, r);
         MsgMeta meta;
-        route_message_m(meta, m, r.w[0]);
+        route_message_m(meta, get_msg(r), r.w[0]);
         msg_stash_[stash_key(r.d, r.w[1])] = std::move(meta);
         break;
       }
@@ -1463,23 +1451,21 @@ void Checker::replay_group(std::uint32_t shard, const std::vector<CheckRec>& log
         bad_route_diag(r.w[2], r.w[0]);
         break;
       case CheckRec::kPreDeliverFail:
-        // The engine suppressed this delivery online; pre_deliver_m above may
-        // have diverged on a racy input, so force the release (idempotent).
-        if (!stack.empty()) release_msg_meta(stack.back().meta);
+        // The engine suppressed this delivery online; pre_deliver_m may have
+        // diverged on a racy input, so force the release (idempotent).
+        if (dlv_meta_) release_msg_meta(*dlv_meta_);
         break;
       case CheckRec::kClassMismatch:
-        if (!stack.empty())
-          class_mismatch_m(stack.back().meta, stack.back().m, r.d,
-                           static_cast<ThreadId>(r.c), r.w[0]);
+        if (dlv_meta_)
+          class_mismatch_m(*dlv_meta_, *dlv_msg_, r.d, static_cast<ThreadId>(r.c), r.w[0]);
         break;
       case CheckRec::kTaskBegin:
-        if (!stack.empty())
-          task_begin_m(stack.back().meta, stack.back().m, r.d,
-                       static_cast<ThreadId>(r.c), static_cast<EventLabel>(r.w[1]),
-                       r.w[0], r.b != 0);
+        if (dlv_meta_)
+          task_begin_m(*dlv_meta_, *dlv_msg_, r.d, static_cast<ThreadId>(r.c),
+                       static_cast<EventLabel>(r.w[1]), r.w[0], r.b != 0);
         break;
       case CheckRec::kTaskEnd:
-        on_task_end(r.d, static_cast<ThreadId>(r.c), r.b != 0);
+        task_end(r.d, static_cast<ThreadId>(r.c), r.b != 0);
         break;
       case CheckRec::kDramExec:
         dnow = r.w[0];
@@ -1508,48 +1494,20 @@ void Checker::replay_group(std::uint32_t shard, const std::vector<CheckRec>& log
       case CheckRec::kSyncAcquire:
         sync_acquire_check(r.d, r.w[2]);
         break;
-      case CheckRec::kInlineBegin: {
-        push_origin();
-        stack.emplace_back();
-        fill_msg(stack.back().m, r);
-        route_message_m(stack.back().meta, stack.back().m, r.w[0]);
-        pre_deliver_m(stack.back().meta, stack.back().m, r.w[0]);
-        break;
-      }
-      case CheckRec::kInlineSuppress:
-        if (!stack.empty()) {
-          if (r.c == 1)
-            class_mismatch_m(stack.back().meta, stack.back().m, r.d,
-                             static_cast<ThreadId>(r.w[1]), r.w[0]);
-          else
-            release_msg_meta(stack.back().meta);
-          stack.pop_back();
-          pop_origin();
-        }
+      case CheckRec::kInlineBegin:
+        open_inline(get_msg(r), r.w[0]);
         break;
       case CheckRec::kInlineEnd:
-        if (!stack.empty()) {
-          release_msg_meta(stack.back().meta);
-          stack.pop_back();
-          pop_origin();
-        }
+        close_inline();
         break;
       default:
         break;
     }
   }
 
-  while (!stack.empty()) {
-    release_msg_meta(stack.back().meta);
-    stack.pop_back();
-  }
+  release_msg_meta(gmeta);
   snap_unref(dmeta.snap);  // truncated group: the kDramDone never arrived
-  origin_ = Origin::kNone;
-  snap_clear(origin_snap_);
-  origin_ext_ = InlineVC{};
-  origin_host_ep_ = 0;
-  for (SavedOrigin& s : origin_stack_) snap_unref(s.snap);
-  origin_stack_.clear();
+  clear_origin();
   replay_shard_ = 0;
 }
 
@@ -1563,12 +1521,7 @@ void Checker::reset_deferred() {
   for (auto& [k, ds] : dram_stash_) snap_unref(ds.meta.snap);
   msg_stash_.clear();
   dram_stash_.clear();
-  origin_ = Origin::kNone;
-  snap_clear(origin_snap_);
-  origin_ext_ = InlineVC{};
-  origin_host_ep_ = 0;
-  for (SavedOrigin& s : origin_stack_) snap_unref(s.snap);
-  origin_stack_.clear();
+  clear_origin();
   replay_shard_ = 0;
 }
 
@@ -1731,7 +1684,9 @@ void Checker::report() {
     origin_snap_ = kNoSnap;
     origin_ext_ = InlineVC{};
     origin_host_ep_ = 0;
-    origin_stack_.clear();
+    frames_.clear();
+    dlv_meta_ = nullptr;
+    dlv_msg_ = nullptr;
     for (Lifetime& l : lifetimes_) {
       l.clock = kNoSnap;
       l.last = InlineVC{};

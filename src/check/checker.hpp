@@ -35,13 +35,17 @@
 // accesses/deliveries are suppressed so the simulation can continue and
 // report instead of corrupting host memory or crashing).
 //
-// Sharded execution (UD_SHARDS > 1) runs the checker in *deferred window
-// replay* mode: during the exec phase each engine shard appends compact
-// per-shard records of its hook stream, and at every window boundary shard 0
-// merges the completed window's records in the engine's own deterministic
-// (tick, sending entity, sender seq) order and replays them through the
-// serial analysis core. Check-clean runs stay bit-identical for any shard
-// count, and cross-shard races are reported with both shards' stamps.
+// The engine calls one hook per site and never learns which of two modes
+// the checker runs in; the mode is decided here, from the shard count. A
+// serial engine is analyzed online, hook by hook. A sharded engine
+// (UD_SHARDS > 1) is analyzed by *deferred window replay*: during the exec
+// phase each hook appends a compact record to its shard's log, and at every
+// window boundary shard 0 merges the completed window's records in the
+// engine's own deterministic (tick, sending entity, sender seq) order and
+// replays them through the same analysis core. Diagnostics are identical
+// for any shard count (tests/check/test_checker.cpp, UdCheckModeParity),
+// check-clean runs stay bit-identical, and cross-shard races are reported
+// with both shards' stamps.
 #pragma once
 
 #include <cstdint>
@@ -94,11 +98,11 @@ struct CheckDiagnostic {
   std::string message;          ///< fully formatted human-readable report
 };
 
-/// One deferred-mode hook record. The engine shards append these during the
-/// exec phase (56B each, no heap traffic); shard 0 merges and replays them at
-/// the next window boundary. Group-begin kinds carry the (t, ent, seq) queue
-/// key of the event being executed; all other kinds are nested inside the
-/// most recent group of their shard's log.
+/// One deferred-mode hook record. The hooks append these to the executing
+/// shard's log during the exec phase (56B each, no heap traffic); shard 0
+/// merges and replays them at the next window boundary. Group-begin kinds
+/// carry the (t, ent, seq) queue key of the event being executed; all other
+/// kinds are nested inside the most recent group of their shard's log.
 struct CheckRec {
   enum Kind : std::uint8_t {
     kHostSend,        ///< group: a host injection (key = (now, host ent, seq))
@@ -107,8 +111,8 @@ struct CheckRec {
     kRouteMsg,        ///< nested: a message was routed (same- or cross-shard)
     kRouteDram,       ///< nested: a DRAM request was routed
     kBadRoute,        ///< nested: event word addressed a lane beyond the machine
-    kPreDeliverFail,  ///< nested: the engine suppressed this delivery online
-    kClassMismatch,   ///< nested: delivery hit a thread of another class
+    kPreDeliverFail,  ///< nested: the open delivery was suppressed online
+    kClassMismatch,   ///< nested: the open delivery hit a thread of another class
     kTaskBegin,       ///< nested: handler entered
     kTaskEnd,         ///< nested: handler returned
     kDramExec,        ///< nested: request serviced (b = online sanitize verdict)
@@ -118,9 +122,8 @@ struct CheckRec {
     kSpAccess,        ///< nested: scratchpad access (strict mode / OOB)
     kSyncRelease,     ///< nested: lane-local sync cell release
     kSyncAcquire,     ///< nested: lane-local sync cell acquire
-    kInlineBegin,     ///< nested: deliver_inline opened (stack push)
-    kInlineSuppress,  ///< nested: inline delivery suppressed (closes the push)
-    kInlineEnd        ///< nested: inline delivery complete (stack pop)
+    kInlineBegin,     ///< nested: deliver_inline opened a frame
+    kInlineEnd        ///< nested: the inline frame closed (done or suppressed)
   };
   std::uint8_t kind = 0;
   std::uint8_t b = 0;
@@ -138,51 +141,76 @@ class Checker final : public MemoryObserver {
   Checker& operator=(const Checker&) = delete;
 
   bool sp_strict() const { return sp_strict_; }
-  /// Sharded engines run the checker in deferred window-replay mode: hooks
-  /// log records online and shard 0 replays them at window boundaries.
-  bool deferred() const { return nshards_ > 1; }
 
-  // ---- Routing hooks (serial engine; also driven by the replay) ------------
-  /// The host (TOP core) is about to inject a message. In deferred mode this
-  /// opens a replay group keyed by the host's queue identity.
+  /// Payload-pool index of a send that has none: a cross-shard send travels
+  /// by value through a mailbox (only sharded engines make those).
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  // ---- Engine hooks ---------------------------------------------------------
+  // One hook per engine site. Each takes what either mode needs: the
+  // executing shard, the queue key (t, ent, seq) and payload of the event,
+  // and its pool slot. A serial checker analyzes online and keeps per-slot
+  // metadata; a sharded one appends a record to the shard's log and answers
+  // the engine from engine-owned state only (lane liveness, the program
+  // table, the shard's descriptor snapshot), so a check-clean sharded run
+  // behaves exactly like an unchecked one. Suppressed deliveries and
+  // accesses return false in both modes.
+
+  /// The host (TOP core) is about to inject a message keyed (now, ent, seq).
   void on_host_send(Tick now, std::uint32_t ent, std::uint32_t seq);
-  /// A message landed in pool slot `idx`; stamp it with the sender's clock
-  /// and lint the send (target liveness, operand count, obligations).
-  void on_route_message(std::uint32_t idx, Tick depart);
-  /// A DRAM request landed in pool slot `idx`. `addr_mapped` is false when
-  /// routing could not translate the base address (checked mode routes such
-  /// requests to node 0 instead of throwing).
-  void on_route_dram(std::uint32_t idx, bool addr_mapped, Tick depart);
+  /// A message was routed (pooled in `slot`, or kNoSlot when cross-shard):
+  /// stamp it with the sender's clock and lint the send (target liveness,
+  /// operand count, continuation obligations).
+  void on_route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
+                        const Message& m, std::uint32_t slot, Tick depart);
+  /// A DRAM request was routed. `addr_mapped` is false when its base address
+  /// has no live translation (checked mode routes it to node 0 instead of
+  /// throwing, and the fault is classified at service time).
+  void on_route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
+                     const DramRequest& r, std::uint32_t slot, bool addr_mapped,
+                     Tick depart);
   /// Event word addressed a lane beyond the machine; returns true when the
-  /// send was reported (or recorded, in deferred mode) and should be dropped.
+  /// send was reported and should be dropped.
   bool on_bad_route(EngineShard& sh, Word evw, Tick depart);
 
-  // ---- Delivery / execution hooks -----------------------------------------
-  /// Validate delivery of pooled message `idx`; false => suppress (the
-  /// violation has been recorded; the payload is dropped).
-  bool on_pre_deliver(std::uint32_t idx, Tick start);
-  /// An existing-thread delivery found a thread of another class.
-  void on_class_mismatch(std::uint32_t idx, NetworkId lane, ThreadId tid, Tick start);
-  /// A handler is about to run: join the receiver's clock with the message
-  /// stamp, register continuation obligations, open the task scope.
-  void on_task_begin(std::uint32_t idx, NetworkId lane, ThreadId tid, EventLabel label,
+  /// Queue entry (t, ent, seq), pooled message `m` in `slot`, is about to be
+  /// delivered at `start`; false => suppress (bad label, dead or recycled
+  /// target; the violation is reported and the payload dropped).
+  bool on_pre_deliver(EngineShard& sh, Tick t, std::uint32_t ent, std::uint32_t seq,
+                      const Message& m, std::uint32_t slot, Tick start);
+  /// Inline delivery (Machine::deliver_inline) of `m` inside the running
+  /// task: routes and validates it like a sent message and opens a frame the
+  /// checker owns; false => suppressed (the frame is already closed).
+  bool on_inline_begin(EngineShard& sh, const Message& m, Tick start);
+  /// The inline delivery opened by the matching on_inline_begin is done:
+  /// close its frame and restore the caller's origin, so the caller's later
+  /// sends stamp with the caller's clock again.
+  void on_inline_end(EngineShard& sh);
+  /// The delivery just validated (queued or inline) found a thread of another
+  /// class; it is reported and suppressed.
+  void on_class_mismatch(EngineShard& sh, NetworkId lane, ThreadId tid, Tick start);
+  /// The validated delivery's handler is about to run: join the receiver's
+  /// clock with the message stamp, register continuation obligations, open
+  /// the task scope.
+  void on_task_begin(EngineShard& sh, NetworkId lane, ThreadId tid, EventLabel label,
                      Tick start, bool new_thread);
   /// The handler returned; closes the task scope and retires the lifetime
   /// when the thread yielded-terminate.
-  void on_task_end(NetworkId lane, ThreadId tid, bool terminated);
+  void on_task_end(EngineShard& sh, NetworkId lane, ThreadId tid, bool terminated);
 
-  /// A DRAM request is being serviced: sanitize the address range and race-
-  /// check each word at the requester's send-time clock. Returns false when
-  /// the physical access must be suppressed (reads are zero-filled).
-  bool on_dram_exec(std::uint32_t idx, Tick now);
+  /// Queue entry (t, ent, seq), DRAM request `r` in `slot`, is being
+  /// serviced: sanitize the address range and race-check each word at the
+  /// requester's send-time clock. Returns false when the physical access must
+  /// be suppressed (reads are zero-filled).
+  bool on_dram_exec(EngineShard& sh, Tick t, std::uint32_t ent, std::uint32_t seq,
+                    const DramRequest& r, std::uint32_t slot, Tick now);
   /// The serviced request is about to emit its reply message.
-  void begin_dram_reply(std::uint32_t idx);
+  void on_dram_reply(EngineShard& sh, std::uint32_t slot);
   /// Service complete (reply routed, if any); releases the in-flight stamp.
-  void on_dram_done(std::uint32_t idx);
+  void on_dram_done(EngineShard& sh, std::uint32_t slot);
 
   /// Scratchpad access from a running handler. Returns false when the access
-  /// is out of bounds and must be suppressed (reads return 0). Internally
-  /// branches on the engine mode (serial check vs deferred record).
+  /// is out of bounds and must be suppressed (reads return 0).
   bool on_sp_access(EngineShard& sh, NetworkId lane, std::uint64_t offset,
                     std::size_t bytes, bool is_write, Tick now);
 
@@ -196,53 +224,14 @@ class Checker final : public MemoryObserver {
   void on_sync_release(EngineShard& sh, NetworkId lane, std::uint64_t slot);
   void on_sync_acquire(EngineShard& sh, NetworkId lane, std::uint64_t slot);
 
-  /// Save / restore the scoped message origin around an inline delivery
-  /// (Machine::deliver_inline): the nested task's begin/end hooks overwrite
-  /// the origin, and the caller's later sends must stamp with the caller's
-  /// clock again. Push before the nested on_route_message, pop after the
-  /// nested on_task_end. Nesting depth follows the inline call depth.
-  void push_origin();
-  void pop_origin();
-
-  // ---- Deferred-mode engine hooks (sharded execution) ----------------------
-  // Each appends a record to the executing shard's log and returns the online
-  // verdict the engine needs for control flow. Verdicts are computed from
-  // engine-owned state only (lane liveness, the program table, descriptor
-  // snapshots), so the engine behaves exactly like an unchecked sharded run
-  // on check-clean inputs. The analysis itself happens at replay.
-  void defer_route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
-                           const Message& m, Tick depart);
-  void defer_route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
-                        const DramRequest& r, bool addr_mapped, Tick depart);
-  /// Opens the delivery group for queue entry (t, ent, seq); returns false
-  /// when the engine must suppress the delivery (bad label / dead target).
-  bool defer_pre_deliver(EngineShard& sh, Tick t, std::uint32_t ent, std::uint32_t seq,
-                         const Message& m, Tick start);
-  void defer_class_mismatch(EngineShard& sh, NetworkId lane, ThreadId tid, Tick start);
-  void defer_task_begin(EngineShard& sh, NetworkId lane, ThreadId tid, EventLabel label,
-                        Tick start, bool new_thread);
-  void defer_task_end(EngineShard& sh, NetworkId lane, ThreadId tid, bool terminated);
-  /// Opens the DRAM service group for queue entry (t, ent, seq).
-  void defer_dram_begin(EngineShard& sh, Tick t, std::uint32_t ent, std::uint32_t seq);
-  /// Online sanitize through the shard's descriptor snapshot; false =>
-  /// suppress the physical access (the fault details ride in the log and the
-  /// diagnostic is emitted at replay).
-  bool defer_dram_exec(EngineShard& sh, const DramRequest& r, Tick now);
-  void defer_dram_reply_begin(EngineShard& sh);
-  void defer_dram_done(EngineShard& sh);
-  /// Inline delivery in deferred mode; returns false when suppressed online.
-  bool defer_inline_begin(EngineShard& sh, const Message& m, Tick start);
-  void defer_inline_class_mismatch(EngineShard& sh, NetworkId lane, ThreadId tid,
-                                   Tick start);
-  void defer_inline_end(EngineShard& sh);
-
   /// Shard 0, at a window boundary (between inbox merge and barrier A): merge
   /// all shards' completed-window records in (t, ent, seq) order and replay
   /// them through the serial analysis core. Also called once at run() exit as
-  /// a drain safety net.
+  /// a drain safety net. A no-op when no records are pending (always, for a
+  /// serial checker).
   void replay_pending();
-  /// A sharded run aborted: drop half-replayed window logs and stashed
-  /// in-flight clock state so the next run starts clean.
+  /// A run aborted: drop half-replayed window logs and stashed in-flight
+  /// clock state so the next run starts clean.
   void reset_deferred();
 
   // ---- MemoryObserver (allocation lifecycle) ------------------------------
@@ -271,6 +260,10 @@ class Checker final : public MemoryObserver {
   const std::vector<CheckDiagnostic>& diagnostics() const { return diags_; }
 
  private:
+  /// Sharded engines are checked by deferred window replay: hooks log
+  /// records online and shard 0 replays them at window boundaries.
+  bool deferred() const { return nshards_ > 1; }
+
   // ---- Vector clocks -------------------------------------------------------
   // Lifetime ids are recycled through a free list, so the live id space stays
   // compact at any machine scale. Correctness of recycling rests on two
@@ -490,6 +483,10 @@ class Checker final : public MemoryObserver {
   /// the deferred replay).
   void dram_race_words(DramMeta& meta, Addr addr, unsigned nwords, bool is_write,
                        Tick now);
+  /// Lifetime sanitize: every word of `r` must fall in a live region (a
+  /// request may span adjacent regions only if all are live). False sets
+  /// `bad_va` to the first word no live descriptor covers.
+  bool dram_mapped(EngineShard& sh, const DramRequest& r, Addr& bad_va) const;
   /// UAF/OOB diagnostic for a sanitize fault (freed == nullptr => OOB).
   void dram_fault_diag(const Stamp& s, unsigned nwords, bool is_write, Addr va,
                        const FreedRegion* freed, Tick now);
@@ -499,10 +496,10 @@ class Checker final : public MemoryObserver {
   void sync_release_check(NetworkId lane, std::uint64_t slot);
   void sync_acquire_check(NetworkId lane, std::uint64_t slot);
 
-  // Analysis core, metadata-addressed: the public idx hooks (serial engine)
-  // and the deferred replay both drive these. The replay materializes its
-  // Message / metadata operands from log records and the (ent, seq) stash, so
-  // it never touches the engine's payload pools.
+  // Analysis core, metadata-addressed: the hooks (online, with per-slot
+  // metadata and the payload the engine passes in) and the deferred replay
+  // (with metadata from the (ent, seq) stash and payloads rebuilt from log
+  // records) both drive these. Neither reads the engine's payload pools.
   void route_message_m(MsgMeta& meta, const Message& m, Tick depart);
   void route_dram_m(DramMeta& meta, const DramRequest& r, bool addr_mapped, Tick depart);
   bool pre_deliver_m(MsgMeta& meta, const Message& m, Tick start);
@@ -510,9 +507,18 @@ class Checker final : public MemoryObserver {
                         Tick start);
   void task_begin_m(MsgMeta& meta, const Message& m, NetworkId lane, ThreadId tid,
                     EventLabel label, Tick start, bool new_thread);
+  void task_end(NetworkId lane, ThreadId tid, bool terminated);
   void begin_dram_reply_m(DramMeta& meta);
   void dram_done_m(DramMeta& meta);
   void bad_route_diag(Word evw, Tick depart);
+  /// Open an inline delivery's frame: save the caller's origin beneath it,
+  /// route and validate the message. Returns the pre-deliver verdict; the
+  /// frame stays open either way until close_inline.
+  bool open_inline(const Message& m, Tick start);
+  /// Close the innermost inline frame and restore the caller's origin.
+  void close_inline();
+  /// Drop every open inline frame and the routing origin (group end, abort).
+  void clear_origin();
 
   // Meta lifecycle. Message metadata pins both the sender's lifetime (so
   // diagnostics after delivery still name the true sender) and the expected
@@ -535,6 +541,10 @@ class Checker final : public MemoryObserver {
 
   // Deferred-mode internals.
   std::vector<CheckRec>& log_of(EngineShard& sh);
+  /// The engine's suppression verdict for a delivery, from engine-owned
+  /// state only (program table, lane liveness): a sharded checker's online
+  /// answer, since its own analysis trails execution by a window.
+  bool deliverable(const Message& m) const;
   void replay_group(std::uint32_t shard, const std::vector<CheckRec>& log,
                     std::size_t begin, std::size_t end);
   void drain_bad_frees();
@@ -560,17 +570,29 @@ class Checker final : public MemoryObserver {
   std::uint32_t origin_host_ep_ = 0;  ///< valid for kDramReply
   bool origin_cont_pending_ = false;  ///< valid for kDramReply
 
-  /// Saved origins for nested inline deliveries (Machine::deliver_inline).
-  /// Stamp carries no refcount; the snap slot's pool ref moves with the save.
-  struct SavedOrigin {
-    Origin origin;
+  /// One open inline delivery (Machine::deliver_inline), in either mode:
+  /// the synthetic message, its in-flight metadata, and the caller's origin
+  /// to restore when the frame closes. The saved stamp carries no refcount;
+  /// the saved snap slot's pool ref moves with the save. Nesting depth
+  /// follows the inline call depth.
+  struct Frame {
+    Message m;
+    MsgMeta meta;
+    Origin origin = Origin::kNone;
     Stamp stamp;
-    SnapId snap;
+    SnapId snap = kNoSnap;
     InlineVC ext;
-    std::uint32_t host_ep;
-    bool cont_pending;
+    std::uint32_t host_ep = 0;
+    bool cont_pending = false;
   };
-  std::vector<SavedOrigin> origin_stack_;
+  std::vector<Frame> frames_;
+
+  /// The delivery validated last (a pooled message's slot metadata, an
+  /// inline frame, or a replayed group's message), consumed by the class-
+  /// mismatch / task-begin hook that follows it. Nothing routes in between,
+  /// so the pointers stay valid.
+  MsgMeta* dlv_meta_ = nullptr;
+  const Message* dlv_msg_ = nullptr;
 
   std::vector<MsgMeta> msg_meta_;
   std::vector<DramMeta> dram_meta_;

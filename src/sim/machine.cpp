@@ -66,15 +66,6 @@ Machine::Machine(MachineConfig cfg)
     checker_ = std::make_unique<Checker>(
         *this, env_flag("UD_CHECK_SP_STRICT", cfg_.check_sp_strict), nshards_);
     memory_.set_observer(checker_.get());
-    ck_defer_ = nshards_ > 1;
-    if (ck_defer_) {
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true))
-        std::fprintf(stderr,
-                     "[UDCHECK] note: running with %u engine shards — checking "
-                     "is deferred to window-boundary replay\n",
-                     nshards_);
-    }
   }
 
   if (nshards_ > 1 && cfg_.min_cross_node_latency() < 1)
@@ -166,11 +157,9 @@ void Machine::route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t se
   if (tracer_)
     tracer_->on_message(*sh.trace, src_node, dst_node, bytes, depart, arrive,
                         network_.inject_backlog(src_node, depart));
-  // Deferred checking records the send (cross-shard ones too) in the sending
-  // shard's log; the clock stamping happens at the window-boundary replay.
-  if (ck_defer_) checker_->defer_route_message(sh, ent, seq, m, depart);
   const std::uint32_t dshard = shard_of(dst_node);
   EngineShard& dsh = *shards_[dshard];
+  std::uint32_t idx = Checker::kNoSlot;
   if (&dsh == &sh) {
     std::uint32_t bulk_idx = kNoBulk;
     if (m.bulk_words > 0) {
@@ -178,9 +167,8 @@ void Machine::route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t se
       std::copy(bulk, bulk + m.bulk_words, sh.bulk_pool[bulk_idx].w.begin());
     }
     m.bulk = bulk_idx;
-    const std::uint32_t idx = sh.msg_pool.acquire();
+    idx = sh.msg_pool.acquire();
     sh.msg_pool[idx] = m;
-    if (checker_ && !ck_defer_) checker_->on_route_message(idx, depart);
     push(sh, QEntry{arrive, ent, seq, idx, kMsg});
   } else {
     m.bulk = kNoBulk;  // re-pooled by the destination at merge time
@@ -189,6 +177,7 @@ void Machine::route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t se
          m.bulk_words > 0 ? std::vector<Word>(bulk, bulk + m.bulk_words)
                           : std::vector<Word>{}});
   }
+  if (checker_) checker_->on_route_message(sh, ent, seq, m, idx, depart);
 }
 
 void Machine::route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
@@ -200,14 +189,13 @@ void Machine::route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
     // classify the fault (UAF vs OOB) at service time, word by word. Sharded
     // runs look up through the shard's descriptor snapshot (no-throw variant
     // of the unchecked snapshot translate below).
-    const SwizzleDescriptor* d = ck_defer_ ? memory_.find_snap(r.addr, sh.mem_snap)
-                                           : memory_.find_live(r.addr);
+    const SwizzleDescriptor* d = nshards_ > 1 ? memory_.find_snap(r.addr, sh.mem_snap)
+                                              : memory_.find_live(r.addr);
     if (d) r.dst_node = d->translate(r.addr).node;
     else {
       addr_mapped = false;
       r.dst_node = 0;
     }
-    if (ck_defer_) checker_->defer_route_dram(sh, ent, seq, r, addr_mapped, depart);
   } else if (nshards_ > 1) {
     r.dst_node = memory_.translate(r.addr, sh.mem_snap).node;
   } else {
@@ -220,35 +208,25 @@ void Machine::route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
   if (node_of(r.src) != r.dst_node) sh.stats.remote_dram_accesses++;
   const std::uint32_t dshard = shard_of(r.dst_node);
   EngineShard& dsh = *shards_[dshard];
+  std::uint32_t idx = Checker::kNoSlot;
   if (&dsh == &sh) {
-    const std::uint32_t idx = sh.dram_pool.acquire();
+    idx = sh.dram_pool.acquire();
     sh.dram_pool[idx] = r;
-    if (checker_ && !ck_defer_) checker_->on_route_dram(idx, addr_mapped, depart);
     push(sh, QEntry{arrive, ent, seq, idx, kDram});
   } else {
     sh.outbox[dshard].drams.push_back({arrive, ent, seq, r});
   }
+  if (checker_) checker_->on_route_dram(sh, ent, seq, r, idx, addr_mapped, depart);
 }
 
-void Machine::exec_message(EngineShard& sh, const QEntry& e) {
-  Message& m = sh.msg_pool[e.index];
-  const Tick arrive = e.t;
+// Inlined into both callers: left to the compiler, it became an out-of-line
+// call on the queued-delivery path, which measured 3-14% slower wall time on
+// perfbench's stream-serve workload (4 alternating pairs, 4-vCPU host).
+[[gnu::always_inline]] inline std::uint64_t Machine::run_task(EngineShard& sh, Lane& lane,
+                                                              Message& m, Tick start,
+                                                              bool is_inline) {
   const NetworkId dst = evw::nwid(m.evw);
-  Lane lane(lanes_, dst);
-  const Tick start = std::max(arrive, lanes_.free_at[dst]);
   const EventLabel label = evw::label(m.evw);
-
-  // Checked mode validates the delivery (label, target liveness, recycled
-  // contexts) and suppresses violating messages after reporting them. The
-  // deferred variant opens this delivery's replay group and answers from
-  // engine-owned state only.
-  if (checker_) {
-    const bool ok = ck_defer_
-                        ? checker_->defer_pre_deliver(sh, e.t, e.src, e.seq, m, start)
-                        : checker_->on_pre_deliver(e.index, start);
-    if (!ok) return;
-  }
-
   const EventDef& def = program_.def(label);
 
   const bool new_thread = evw::is_new_thread(m.evw);
@@ -263,25 +241,42 @@ void Machine::exec_message(EngineShard& sh, const QEntry& e) {
   }
   ThreadState& state = lane.thread(tid);
   if (state.ud_class_id != def.type_id) {
-    if (checker_) {
-      if (ck_defer_) checker_->defer_class_mismatch(sh, dst, tid, start);
-      else checker_->on_class_mismatch(e.index, dst, tid, start);
-      return;
-    }
-    throw std::runtime_error("event '" + def.name + "' delivered to a thread of another class");
+    if (!checker_)
+      throw std::runtime_error("event '" + def.name + "' delivered to a thread of another class");
+    checker_->on_class_mismatch(sh, dst, tid, start);
+    return 0;
   }
 
   const Word cevnt = evw::make_existing(dst, tid, label, m.nops);
-  UDSIM_LOG(LogLevel::kDebug, start, "[NWID %u][TID %u] %s (%u ops)", dst, tid,
-            def.name.c_str(), m.nops);
-  if (checker_) {
-    if (ck_defer_) checker_->defer_task_begin(sh, dst, tid, label, start, new_thread);
-    else checker_->on_task_begin(e.index, dst, tid, label, start, new_thread);
-  }
+  UDSIM_LOG(LogLevel::kDebug, start, "[NWID %u][TID %u] %s (%u ops%s)", dst, tid,
+            def.name.c_str(), m.nops, is_inline ? ", inline" : "");
+  if (checker_) checker_->on_task_begin(sh, dst, tid, label, start, new_thread);
   Ctx ctx(*this, sh, lane, m, start, tid, cevnt, state);
   def.invoke(ctx, state);
 
-  const std::uint64_t cost = ctx.charged() + 1;  // +1: Thread Yield at return
+  if (ctx.terminated()) {
+    lane.deallocate_thread(tid);
+    sh.stats.threads_destroyed++;
+    --sh.live_threads;
+  }
+  if (checker_) checker_->on_task_end(sh, dst, tid, ctx.terminated());
+  return ctx.charged() + 1;  // +1: Thread Yield at return
+}
+
+void Machine::exec_message(EngineShard& sh, const QEntry& e) {
+  Message& m = sh.msg_pool[e.index];
+  const Tick arrive = e.t;
+  const NetworkId dst = evw::nwid(m.evw);
+  Lane lane(lanes_, dst);
+  const Tick start = std::max(arrive, lanes_.free_at[dst]);
+
+  // Checked mode validates the delivery (label, target liveness, recycled
+  // contexts) and suppresses violating messages after reporting them.
+  if (checker_ && !checker_->on_pre_deliver(sh, e.t, e.src, e.seq, m, e.index, start))
+    return;
+  const std::uint64_t cost = run_task(sh, lane, m, start, false);
+  if (cost == 0) return;  // suppressed by the checker
+
   const Tick lane_free = start + cost;
   lanes_.free_at[dst] = lane_free;
   LaneStats& lst = lane.stats();
@@ -292,112 +287,34 @@ void Machine::exec_message(EngineShard& sh, const QEntry& e) {
   // Executed on the destination's owning shard: lane/node timelines and the
   // arrival series are destination-keyed.
   if (tracer_) tracer_->on_execute(dst, node_of(dst), arrive, start, cost);
-  if (ctx.terminated()) {
-    lane.deallocate_thread(tid);
-    sh.stats.threads_destroyed++;
-    --sh.live_threads;
-  }
-  if (checker_) {
-    if (ck_defer_) checker_->defer_task_end(sh, dst, tid, ctx.terminated());
-    else checker_->on_task_end(dst, tid, ctx.terminated());
-  }
   if (lane_free > sh.now) sh.now = lane_free;
 }
 
 std::uint64_t Machine::deliver_inline(EngineShard& sh, Message&& m, Tick start) {
   const NetworkId dst = evw::nwid(m.evw);
   Lane lane(lanes_, dst);
-  const EventLabel label = evw::label(m.evw);
-  const EventDef& def = program_.def(label);
-
-  // Checked mode threads the synthetic message through the normal hook
-  // sequence (a pooled slot carries the clock stamp, so the inline task joins
-  // the caller's causal history exactly like a delivered message would). The
-  // scoped origin is saved around the nested task: after the inline handler
-  // finishes, the caller's own sends must stamp with the caller's clock again.
-  std::uint32_t idx = 0;
-  if (ck_defer_) {
-    // Deferred: record the inline delivery (the replay builds its own frame;
-    // no pool slot is taken) and suppress online only on a dead target.
-    if (!checker_->defer_inline_begin(sh, m, start)) return 0;
-  } else if (checker_) {
-    idx = sh.msg_pool.acquire();
-    sh.msg_pool[idx] = m;
-    checker_->push_origin();
-    checker_->on_route_message(idx, start);
-    if (!checker_->on_pre_deliver(idx, start)) {
-      sh.msg_pool.release(idx);
-      checker_->pop_origin();
-      return 0;
-    }
-  }
-
-  const bool new_thread = evw::is_new_thread(m.evw);
-  ThreadId tid;
-  if (new_thread) {
-    tid = lane.allocate_thread(def);  // Thread Create: 0 cycles (recycles state)
-    sh.stats.threads_created++;
-    const std::uint64_t live = ++sh.live_threads;
-    if (live > sh.stats.max_live_threads) sh.stats.max_live_threads = live;
-  } else {
-    tid = evw::tid(m.evw);
-  }
-  ThreadState& state = lane.thread(tid);
-  if (state.ud_class_id != def.type_id) {
-    if (checker_) {
-      if (ck_defer_) {
-        checker_->defer_inline_class_mismatch(sh, dst, tid, start);
-        return 0;
-      }
-      checker_->on_class_mismatch(idx, dst, tid, start);
-      sh.msg_pool.release(idx);
-      checker_->pop_origin();
-      return 0;
-    }
-    throw std::runtime_error("event '" + def.name + "' delivered to a thread of another class");
-  }
-
-  const Word cevnt = evw::make_existing(dst, tid, label, m.nops);
-  UDSIM_LOG(LogLevel::kDebug, start, "[NWID %u][TID %u] %s (%u ops, inline)", dst, tid,
-            def.name.c_str(), m.nops);
-  if (checker_) {
-    if (ck_defer_) checker_->defer_task_begin(sh, dst, tid, label, start, new_thread);
-    else checker_->on_task_begin(idx, dst, tid, label, start, new_thread);
-  }
-  Ctx ctx(*this, sh, lane, m, start, tid, cevnt, state);
-  def.invoke(ctx, state);
+  // Checked mode routes and validates the synthetic message like a sent one
+  // (the inline task joins the caller's causal history exactly like a
+  // delivered message would) in a frame of its own, closed after the task.
+  if (checker_ && !checker_->on_inline_begin(sh, m, start)) return 0;
+  const std::uint64_t cost = run_task(sh, lane, m, start, true);
+  if (checker_) checker_->on_inline_end(sh);
+  if (cost == 0) return 0;  // suppressed by the checker
 
   // The caller absorbs the cost into its own charge (lane free_at and
   // busy/charged cycles flow through the caller's event), so only the event
   // and thread counters are taken here.
-  const std::uint64_t cost = ctx.charged() + 1;  // +1: Thread Yield at return
   lane.stats().events_executed++;
   sh.stats.events_executed++;
   // Inline cycles flow through the enclosing packet event (traced when that
   // event completes); only the executed-event count moves here.
   if (tracer_) tracer_->on_inline_execute(node_of(dst), start);
-  if (ctx.terminated()) {
-    lane.deallocate_thread(tid);
-    sh.stats.threads_destroyed++;
-    --sh.live_threads;
-  }
-  if (checker_) {
-    if (ck_defer_) {
-      checker_->defer_task_end(sh, dst, tid, ctx.terminated());
-      checker_->defer_inline_end(sh);
-    } else {
-      checker_->on_task_end(dst, tid, ctx.terminated());
-      sh.msg_pool.release(idx);
-      checker_->pop_origin();
-    }
-  }
   return cost;
 }
 
 void Machine::exec_dram(EngineShard& sh, const QEntry& e) {
   DramRequest& r = sh.dram_pool[e.index];
   const Tick arrive = e.t;
-  if (ck_defer_) checker_->defer_dram_begin(sh, e.t, e.src, e.seq);
   const std::uint32_t data_bytes = r.nwords * 8u + cfg_.msg_header_bytes;
   const Tick ready = dram_.service(arrive, r.dst_node, data_bytes);
   DescriptorSnapshot* snap = nshards_ > 1 ? &sh.mem_snap : nullptr;
@@ -408,8 +325,8 @@ void Machine::exec_dram(EngineShard& sh, const QEntry& e) {
   // Checked mode sanitizes the address range (OOB/UAF) and race-checks each
   // word; invalid accesses are suppressed (reads deliver zeros) so the run
   // can continue to the report instead of corrupting host memory.
-  const bool ok = !checker_ || (ck_defer_ ? checker_->defer_dram_exec(sh, r, arrive)
-                                          : checker_->on_dram_exec(e.index, arrive));
+  const bool ok =
+      !checker_ || checker_->on_dram_exec(sh, e.t, e.src, e.seq, r, e.index, arrive);
   if (r.is_write) {
     if (ok) memory_.write_words(r.addr, r.data.data(), r.nwords, snap);
     sh.stats.dram_writes++;
@@ -427,20 +344,14 @@ void Machine::exec_dram(EngineShard& sh, const QEntry& e) {
     resp.nops = r.is_write ? 0 : r.nwords;
     if (!r.is_write) resp.ops = r.data;
     resp.src = first_lane_of_node(r.dst_node);
-    if (checker_) {
-      if (ck_defer_) checker_->defer_dram_reply_begin(sh);
-      else checker_->begin_dram_reply(e.index);
-    }
+    if (checker_) checker_->on_dram_reply(sh, e.index);
     // The reply is sent by the home node's DRAM port: a sender entity of its
     // own, with its own counter, so the (tick, src, seq) order of replies is
     // shard-count-invariant just like lane sends.
     route_message(sh, dram_entity(r.dst_node), dram_seq_[r.dst_node]++,
                   std::move(resp), ready);
   }
-  if (checker_) {
-    if (ck_defer_) checker_->defer_dram_done(sh);
-    else checker_->on_dram_done(e.index);
-  }
+  if (checker_) checker_->on_dram_done(sh, e.index);
   if (ready > sh.now) sh.now = ready;
 }
 
@@ -490,7 +401,7 @@ bool Machine::run_until(const std::function<bool()>& stop) {
   // far. A predicate-stopped run leaves both for the run that finally drains.
   if (checker_) {
     flush_stats();  // the report writes stats_.check; totals first
-    if (ck_defer_) checker_->replay_pending();  // drain safety net
+    checker_->replay_pending();  // drain safety net (sharded logs)
     checker_->report();
   }
   // Serialize only at a clean drain (cumulative rewrite: the last run() wins,
@@ -580,7 +491,7 @@ void Machine::run_shard(std::uint32_t my, Tick lookahead) {
       // here — after barrier B sealed all shards' appends, before barrier A
       // opens the next exec phase — so the analysis trails execution by
       // exactly one window and never races with the log writers.
-      if (ck_defer_ && my == 0) checker_->replay_pending();
+      if (checker_ && my == 0) checker_->replay_pending();
       // run_until stop predicate: evaluated by shard 0 only, here — between
       // barrier B of the previous round (which published every exec-phase
       // write) and barrier A of this one (no shard is executing). The

@@ -306,6 +306,13 @@ class Machine {
   /// absorbs them into its own charge so lane timing stays exact. Counted in
   /// events_executed/threads_* but not messages_sent (no message exists).
   std::uint64_t deliver_inline(EngineShard& sh, Message&& m, Tick start);
+  /// The task body shared by exec_message and deliver_inline: allocate or
+  /// look up the target thread, check its class, run the handler between
+  /// the checker's task hooks, and retire the thread if it terminated.
+  /// Returns the cycles consumed (handler charges + the thread yield), or 0
+  /// when the checker suppressed a class-mismatched delivery.
+  std::uint64_t run_task(EngineShard& sh, Lane& lane, Message& m, Tick start,
+                         bool is_inline);
   void push(EngineShard& sh, const QEntry& e);
   /// Release a message's bulk-pool slot, if it holds one. Call exactly once
   /// per pooled message, right before msg_pool.release.
@@ -329,7 +336,7 @@ class Machine {
   /// Fold all shards' stats deltas into stats_ and zero the deltas.
   void flush_stats();
 
-  EngineShard& shard0() { return *shards_[0]; }  ///< serial engine / checker view
+  EngineShard& shard0() { return *shards_[0]; }  ///< the serial engine
 
   MachineConfig cfg_;
   Program program_;
@@ -356,9 +363,6 @@ class Machine {
   Tick now_ = 0;
   MachineStats stats_;
   std::unique_ptr<Checker> checker_;  ///< null unless checking is enabled
-  /// Checked + sharded: hooks record per-shard logs, shard 0 replays them at
-  /// window boundaries (Checker::deferred()). Cached here for the hot path.
-  bool ck_defer_ = false;
   std::unique_ptr<Tracer> tracer_;    ///< null unless tracing is enabled
   std::shared_ptr<void> user_;
   void* user_ptr_ = nullptr;
