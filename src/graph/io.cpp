@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -41,8 +42,9 @@ std::string_view next_field(std::string_view line, std::size_t& pos) {
   return line.substr(b, pos - b);
 }
 
-/// A vertex id: decimal digits only, and below VertexId's maximum so that
-/// the vertex count (max id + 1) cannot wrap.
+/// A vertex id: decimal digits only, and at least two below VertexId's
+/// maximum so that neither the vertex count (max id + 1) nor the CSR offset
+/// array's length (max id + 2) can wrap.
 VertexId parse_id(std::string_view field, const std::string& path, std::uint64_t line) {
   if (field.empty()) fail(path, line, "expected two vertex ids");
   VertexId v = 0;
@@ -50,7 +52,7 @@ VertexId parse_id(std::string_view field, const std::string& path, std::uint64_t
   const auto [ptr, ec] = std::from_chars(field.data(), end, v);
   if (ec == std::errc::invalid_argument || ptr != end)
     fail(path, line, "bad vertex id '" + std::string(field) + "'");
-  if (ec == std::errc::result_out_of_range || v == std::numeric_limits<VertexId>::max())
+  if (ec == std::errc::result_out_of_range || v >= std::numeric_limits<VertexId>::max() - 1)
     fail(path, line, "vertex id '" + std::string(field) + "' out of range");
   return v;
 }
@@ -74,7 +76,13 @@ Graph read_edge_list(const std::string& path, std::uint64_t skip_lines, bool sym
     max_v = std::max({max_v, s, d});
   }
   const VertexId n = edges.empty() ? 0 : max_v + 1;  // before the move below
-  return Graph::from_edges(n, std::move(edges), symmetrize);
+  try {
+    return Graph::from_edges(n, std::move(edges), symmetrize);
+  } catch (const std::bad_alloc&) {
+    fail(path, "cannot allocate a graph of " + std::to_string(n) + " vertices");
+  } catch (const std::length_error&) {
+    fail(path, "cannot allocate a graph of " + std::to_string(n) + " vertices");
+  }
 }
 
 void write_edge_list(const Graph& g, const std::string& path) {

@@ -107,6 +107,16 @@ SplitGraph read_split_binary(const std::string& prefix) {
       fail(path, "vertex " + std::to_string(v) + " has " + std::to_string(width) +
                      " slots but owns " + std::to_string(pieces[v]) + " sub-vertices");
   }
+  // PageRank's map divides a sub-vertex's share by owner_degree, so it must
+  // be the owner's whole out-degree: the summed degrees of its sub-vertices.
+  std::vector<std::uint64_t> degree(n_orig, 0);
+  for (std::uint64_t s = 0; s < ns; ++s) degree[sg.owner[s]] += sg.g.degree(s);
+  for (std::uint64_t s = 0; s < ns; ++s)
+    if (sg.owner_degree[s] != degree[sg.owner[s]])
+      fail(path, "owner_degree[" + std::to_string(s) + "]=" +
+                     std::to_string(sg.owner_degree[s]) + " but owner " +
+                     std::to_string(sg.owner[s]) + "'s sub-vertices have degree " +
+                     std::to_string(degree[sg.owner[s]]));
   return sg;
 }
 

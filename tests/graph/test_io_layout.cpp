@@ -86,6 +86,24 @@ TEST_F(GraphIo, EdgeListRejectsMalformedIdsNamingTheLine) {
   }
 }
 
+TEST_F(GraphIo, EdgeListRejectsVertexCountsThatCannotBeSized) {
+  const std::string path = tmp("huge.txt");
+  // VertexId max - 1: the vertex count fits, but the offset array's length
+  // (count + 1) would wrap to 0.
+  write_text(path, "0 1\n0 18446744073709551614\n");
+  std::string err = error_of([&] { read_edge_list(path); });
+  EXPECT_NE(err.find(path + ":2"), std::string::npos) << err;
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+
+  // 2^61: a valid id whose offset array exceeds what a vector can hold; the
+  // error names the file and the vertex count instead of escaping as
+  // std::length_error.
+  write_text(path, "0 2305843009213693952\n");
+  err = error_of([&] { read_edge_list(path); });
+  EXPECT_NE(err.find(path), std::string::npos) << err;
+  EXPECT_NE(err.find("2305843009213693953 vertices"), std::string::npos) << err;
+}
+
 /// Write a raw `<prefix>_gv.bin` / `<prefix>_nl.bin` pair with the given
 /// header counts and arrays, as write_binary lays them out.
 void write_raw_csr(const std::string& prefix, std::uint64_t n, std::uint64_t m,

@@ -164,6 +164,25 @@ TEST(SplitIo, SlotWidthDisagreesWithOwnerThrows) {
       << err;
 }
 
+TEST(SplitIo, OwnerDegreeDisagreesWithSubVertexDegreesThrows) {
+  // A shuffled RMAT split as split_and_shuffle writes it, with one
+  // owner_degree entry changed: PageRank would push that sub-vertex's rank
+  // over the wrong degree.
+  SplitGraph sg = split_vertices(rmat(8, {}, 21), 16);
+  const std::string p = tmp_prefix("owner_degree");
+  write_split_binary(sg, p);
+  ASSERT_EQ(read_split_binary(p).owner_degree, sg.owner_degree);
+  std::vector<std::uint64_t> owner_degree = sg.owner_degree;
+  const std::uint64_t s = sg.num_sub() / 2;
+  owner_degree[s] += 1;
+  write_raw_meta(p, sg.num_original,
+                 {std::vector<std::uint64_t>(sg.owner.begin(), sg.owner.end()), owner_degree,
+                  sg.slot_offset});
+  const std::string err = error_of([&] { read_split_binary(p); });
+  EXPECT_NE(err.find(p + "_meta.bin"), std::string::npos) << err;
+  EXPECT_NE(err.find("owner_degree[" + std::to_string(s) + "]"), std::string::npos) << err;
+}
+
 TEST(SplitIo, StatsSummaryMentionsKeyNumbers) {
   Graph g = star_graph(100);
   SplitGraph sg = split_vertices(g, 10);
