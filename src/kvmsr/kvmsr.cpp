@@ -56,9 +56,6 @@ Word combine_values(const JobSpec& spec, Word a, Word b) {
       std::memcpy(&w, &r, sizeof w);
       return w;
     }
-    case Combiner::kMinU64: return std::min(a, b);
-    case Combiner::kMaxU64: return std::max(a, b);
-    case Combiner::kUser: return spec.combine_fn(a, b);
     case Combiner::kNone: break;
   }
   return b;

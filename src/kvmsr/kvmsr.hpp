@@ -62,7 +62,7 @@ enum class MapBinding {
 /// Map-side combining operator applied inside the per-destination emit
 /// buffer (JobSpec::combiner). Values are merged as raw 64-bit words; kSumF64
 /// reinterprets them as IEEE doubles.
-enum class Combiner : std::uint8_t { kNone, kSumU64, kSumF64, kMinU64, kMaxU64, kUser };
+enum class Combiner : std::uint8_t { kNone, kSumU64, kSumF64 };
 
 struct JobSpec {
   EventLabel kv_map = 0;
@@ -99,8 +99,6 @@ struct JobSpec {
   /// as apps' CombiningCache: the cache merges within one map task, the
   /// buffer merges across map tasks that share a source lane.
   Combiner combiner = Combiner::kNone;
-  /// Value-merge function for Combiner::kUser: merged = fn(old, incoming).
-  std::function<Word(Word, Word)> combine_fn;
   /// Opaque job tag, readable from user events via Library::spec(job).tag.
   /// The stream layer stamps each delta-ingest job with its batch id so the
   /// reduce handlers append parsed edges into the right staging batch.
