@@ -1,46 +1,74 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "common/rng.hpp"
 
 namespace updown {
 
-Graph rmat(std::uint32_t scale, const RmatParams& p, std::uint64_t seed) {
+namespace {
+
+/// n = 2^scale vertices and m = n * edge_factor edges, or invalid_argument
+/// naming `who` when either count does not fit in 64 bits.
+std::pair<std::uint64_t, std::uint64_t> counts(const char* who, std::uint32_t scale,
+                                               std::uint32_t edge_factor) {
+  if (scale >= 64 || edge_factor > (~0ull >> scale))
+    throw std::invalid_argument(std::string(who) + ": scale " + std::to_string(scale) +
+                                " with edge factor " + std::to_string(edge_factor) +
+                                " overflows a 64-bit vertex or edge count");
   const std::uint64_t n = 1ull << scale;
-  const std::uint64_t m = n * p.edge_factor;
+  return {n, n * edge_factor};
+}
+
+/// The integer form of the test `uniform() < x` for x in [0, 1]: uniform()
+/// is k * 2^-53 for k = rng() >> 11, and k * 2^-53 < x exactly when
+/// k < ceil(x * 2^53).
+std::uint64_t threshold53(double x) {
+  return static_cast<std::uint64_t>(std::ceil(std::ldexp(x, 53)));
+}
+
+}  // namespace
+
+std::vector<Edge> rmat_edges(std::uint32_t scale, const RmatParams& p, std::uint64_t seed) {
+  const std::uint64_t m = counts("rmat", scale, p.edge_factor).second;
+  const double ab = p.a + p.b;
+  const double abc = p.a + p.b + p.c;
+  const auto valid = [](double x) { return std::isfinite(x) && x >= 0; };
+  if (!valid(p.a) || !valid(p.b) || !valid(p.c) || abc > 1)
+    throw std::invalid_argument("rmat: a, b and c must be finite and non-negative with a sum "
+                                "of at most 1");
+  // One draw per bit picks a quadrant: r < a top-left, r < a+b top-right
+  // (dst bit), r < a+b+c bottom-left (src bit), else bottom-right (both).
+  // With A <= AB <= ABC the dst bit is (k >= A) ^ (k >= AB) ^ (k >= ABC).
+  const std::uint64_t A = threshold53(p.a), AB = threshold53(ab), ABC = threshold53(abc);
   Xoshiro256 rng(seed);
   std::vector<Edge> edges;
   edges.reserve(m);
-  const double ab = p.a + p.b;
-  const double abc = p.a + p.b + p.c;
   for (std::uint64_t e = 0; e < m; ++e) {
     std::uint64_t src = 0, dst = 0;
     for (std::uint32_t bit = 0; bit < scale; ++bit) {
-      const double r = rng.uniform();
-      src <<= 1;
-      dst <<= 1;
-      if (r < p.a) {
-        // top-left quadrant: nothing to add
-      } else if (r < ab) {
-        dst |= 1;
-      } else if (r < abc) {
-        src |= 1;
-      } else {
-        src |= 1;
-        dst |= 1;
-      }
+      const std::uint64_t k = rng() >> 11;
+      src = (src << 1) | (k >= AB);
+      dst = (dst << 1) | ((k >= A) ^ (k >= AB) ^ (k >= ABC));
     }
     edges.emplace_back(src, dst);
   }
-  return Graph::from_edges(n, std::move(edges), p.symmetrize);
+  return edges;
+}
+
+Graph rmat(std::uint32_t scale, const RmatParams& p, std::uint64_t seed) {
+  std::vector<Edge> edges = rmat_edges(scale, p, seed);  // validates scale first
+  return Graph::from_edges(1ull << scale, std::move(edges), p.symmetrize);
 }
 
 Graph erdos_renyi(std::uint32_t scale, std::uint32_t edge_factor, std::uint64_t seed,
                   bool symmetrize) {
-  const std::uint64_t n = 1ull << scale;
-  const std::uint64_t m = n * edge_factor;
+  const auto [n, m] = counts("erdos_renyi", scale, edge_factor);
   Xoshiro256 rng(seed);
   std::vector<Edge> edges;
   edges.reserve(m);

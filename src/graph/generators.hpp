@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "graph/graph.hpp"
 
@@ -23,10 +24,21 @@ struct RmatParams {
 };
 
 /// RMAT graph of 2^scale vertices (Chakrabarti et al., the generator the
-/// paper's artifact ships as a Python script).
+/// paper's artifact ships as a Python script): rmat_edges, then
+/// Graph::from_edges.
 Graph rmat(std::uint32_t scale, const RmatParams& params = {}, std::uint64_t seed = 48);
 
-/// Erdős–Rényi G(n, m) with n = 2^scale, m = n * edge_factor.
+/// The 2^scale * edge_factor sampled RMAT edges, before deduplication. Each
+/// edge draws `scale` RNG words in order and picks one quadrant per draw by
+/// comparing the word's top 53 bits against integer thresholds for a, a+b
+/// and a+b+c, which decides exactly as `uniform() < x` would. Throws
+/// std::invalid_argument if 2^scale or the edge count overflows 64 bits, or
+/// if a, b or c is negative or not finite, or a+b+c exceeds 1.
+std::vector<Edge> rmat_edges(std::uint32_t scale, const RmatParams& params = {},
+                             std::uint64_t seed = 48);
+
+/// Erdős–Rényi G(n, m) with n = 2^scale, m = n * edge_factor. Throws
+/// std::invalid_argument if n or m overflows 64 bits.
 Graph erdos_renyi(std::uint32_t scale, std::uint32_t edge_factor = 16, std::uint64_t seed = 7,
                   bool symmetrize = false);
 

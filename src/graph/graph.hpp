@@ -21,7 +21,14 @@ class Graph {
 
   /// Build a CSR graph from an edge list. Self-loops and duplicate edges are
   /// removed and adjacency lists are sorted by destination (the preprocessing
-  /// the paper's `tsv` tool performs for TC).
+  /// the paper's `tsv` tool performs for TC); `symmetrize` adds every edge's
+  /// reverse. A counting sort by source: count degrees, prefix-sum, scatter
+  /// once, free `edges`, sort and deduplicate each list in place, then copy
+  /// the lists into an exactly sized neighbour array. Peak memory is the edge
+  /// list, the offsets and one neighbour slot per directed edge (no
+  /// symmetrized copy of the edge list). Throws std::out_of_range
+  /// naming the edge if an endpoint is >= num_vertices, and
+  /// std::length_error if num_vertices + 1 offsets cannot be sized.
   static Graph from_edges(VertexId num_vertices, std::vector<Edge> edges,
                           bool symmetrize = false);
 
