@@ -7,11 +7,11 @@
 // artifact's convention: tick-stamped start/terminate lines; convert ticks
 // to seconds with time[s] = ticks / 2e9.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "apps/pagerank.hpp"
 #include "graph/split_io.hpp"
+#include "tools/cli.hpp"
 
 using namespace updown;
 
@@ -21,30 +21,35 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  const std::string prefix = argv[1];
-  const auto nodes = static_cast<std::uint32_t>(std::atoi(argv[2]));
-  const auto accel = static_cast<std::uint32_t>(argc > 3 ? std::atoi(argv[3]) : 4);
-  const auto iters = static_cast<unsigned>(argc > 4 ? std::atoi(argv[4]) : 5);
-  const auto mem = static_cast<std::uint32_t>(argc > 5 ? std::atoi(argv[5]) : nodes);
+  return cli::run("pagerank_msr", [&] {
+    const std::string prefix = argv[1];
+    const auto nodes = static_cast<std::uint32_t>(cli::parse_u64("nodes", argv[2], 1, ~0u));
+    const auto accel =
+        static_cast<std::uint32_t>(argc > 3 ? cli::parse_u64("accel", argv[3], 1, ~0u) : 4);
+    const auto iters =
+        static_cast<unsigned>(argc > 4 ? cli::parse_u64("iters", argv[4], 0, ~0u) : 5);
+    const auto mem =
+        static_cast<std::uint32_t>(argc > 5 ? cli::parse_u64("mem", argv[5], 1, ~0u) : nodes);
 
-  SplitGraph sg = read_split_binary(prefix);
-  Machine m(MachineConfig::scaled(nodes, accel));
-  GraphPlacement place;
-  place.nr_nodes = mem;
-  DeviceGraph dg = upload_graph(m, sg.g, place, &sg);
-  pr::Options opt;
-  opt.iterations = iters;
-  opt.value_placement.nr_nodes = mem;
-  pr::Result r = pr::App::install(m, dg, sg, opt).run();
+    SplitGraph sg = read_split_binary(prefix);
+    Machine m(MachineConfig::scaled(nodes, accel));
+    GraphPlacement place;
+    place.nr_nodes = mem;
+    DeviceGraph dg = upload_graph(m, sg.g, place, &sg);
+    pr::Options opt;
+    opt.iterations = iters;
+    opt.value_placement.nr_nodes = mem;
+    pr::Result r = pr::App::install(m, dg, sg, opt).run();
 
-  std::printf("[UDSIM] %llu: [updown_init] PageRank start\n",
-              (unsigned long long)r.start_tick);
-  std::printf("[UDSIM] %llu: [updown_terminate] PageRank done\n",
-              (unsigned long long)r.done_tick);
-  std::printf("simulated time: %.6f s (%llu ticks / 2e9) | %u iterations | "
-              "%llu edge updates | %.2f GUPS | %llu lanes\n",
-              r.seconds(), (unsigned long long)r.duration(), r.iterations,
-              (unsigned long long)r.edge_updates, r.gups(),
-              (unsigned long long)m.config().total_lanes());
-  return 0;
+    std::printf("[UDSIM] %llu: [updown_init] PageRank start\n",
+                (unsigned long long)r.start_tick);
+    std::printf("[UDSIM] %llu: [updown_terminate] PageRank done\n",
+                (unsigned long long)r.done_tick);
+    std::printf("simulated time: %.6f s (%llu ticks / 2e9) | %u iterations | "
+                "%llu edge updates | %.2f GUPS | %llu lanes\n",
+                r.seconds(), (unsigned long long)r.duration(), r.iterations,
+                (unsigned long long)r.edge_updates, r.gups(),
+                (unsigned long long)m.config().total_lanes());
+    return 0;
+  });
 }

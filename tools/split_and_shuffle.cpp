@@ -8,34 +8,33 @@
 //   <file>_shuffle_max_deg_<m>_gv.bin / _nl.bin / _meta.bin
 // and, with -s, a <file>_m<m>_stats.txt summary.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "graph/io.hpp"
 #include "graph/split.hpp"
 #include "graph/split_io.hpp"
+#include "tools/cli.hpp"
 
 using namespace updown;
 
 int main(int argc, char** argv) {
   std::string file;
-  std::uint64_t max_degree = 512;  // the paper's PR setting
+  const char* max_degree_arg = "512";  // the paper's PR setting
+  const char* skip_lines_arg = "0";
   bool directed = false, stats = false;
-  std::uint64_t skip_lines = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "-f" && i + 1 < argc)
       file = argv[++i];
     else if (a == "-m" && i + 1 < argc)
-      max_degree = std::strtoull(argv[++i], nullptr, 10);
+      max_degree_arg = argv[++i];
     else if (a == "-d")
       directed = true;
     else if (a == "-s")
       stats = true;
     else if (a == "-l" && i + 1 < argc)
-      skip_lines = std::strtoull(argv[++i], nullptr, 10);
+      skip_lines_arg = argv[++i];
     else {
       std::fprintf(stderr, "usage: %s -f <graph.txt> -m <max_degree> [-d] [-s] [-l offset]\n",
                    argv[0]);
@@ -46,22 +45,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: -f <raw_graph_file> is required\n", argv[0]);
     return 2;
   }
+  return cli::run("split_and_shuffle", [&] {
+    const std::uint64_t max_degree = cli::parse_u64("max_degree", max_degree_arg, 1);
+    const std::uint64_t skip_lines = cli::parse_u64("offset", skip_lines_arg);
 
-  // "-d indicates that the graph to be split is a directed graph. Without
-  // specification, we assume the input is undirected and will create an edge
-  // in both directions during the conversion."
-  Graph g = read_edge_list(file, skip_lines, /*symmetrize=*/!directed);
-  SplitGraph sg = split_vertices(g, max_degree);
+    // "-d indicates that the graph to be split is a directed graph. Without
+    // specification, we assume the input is undirected and will create an
+    // edge in both directions during the conversion."
+    Graph g = read_edge_list(file, skip_lines, /*symmetrize=*/!directed);
+    SplitGraph sg = split_vertices(g, max_degree);
 
-  const std::string prefix = file + "_shuffle_max_deg_" + std::to_string(max_degree);
-  write_split_binary(sg, prefix);
-  std::printf("wrote %s_gv.bin / _nl.bin / _meta.bin\n", prefix.c_str());
+    const std::string prefix = file + "_shuffle_max_deg_" + std::to_string(max_degree);
+    write_split_binary(sg, prefix);
+    std::printf("wrote %s_gv.bin / _nl.bin / _meta.bin\n", prefix.c_str());
 
-  if (stats) {
-    const std::string summary = split_stats(g, sg);
-    std::fputs(summary.c_str(), stdout);
-    std::ofstream sf(file + "_m" + std::to_string(max_degree) + "_stats.txt");
-    sf << summary;
-  }
-  return 0;
+    if (stats) {
+      const std::string summary = split_stats(g, sg);
+      std::fputs(summary.c_str(), stdout);
+      std::ofstream sf(file + "_m" + std::to_string(max_degree) + "_stats.txt");
+      sf << summary;
+    }
+    return 0;
+  });
 }
