@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "common/bits.hpp"
@@ -108,6 +110,29 @@ static void BM_RmatGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RmatGeneration)->Arg(10)->Arg(14)->Unit(benchmark::kMillisecond);
+
+// The two halves of BM_RmatGeneration: sampling the edge list, then the CSR
+// build (counting sort, per-list sort and dedup) of a symmetrized copy.
+static void BM_RmatEdges(benchmark::State& state) {
+  const auto scale = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(rmat_edges(scale).data());
+  state.SetItemsProcessed(state.iterations() * (16ll << scale));
+}
+BENCHMARK(BM_RmatEdges)->Arg(10)->Arg(14)->Unit(benchmark::kMillisecond);
+
+static void BM_FromEdges(benchmark::State& state) {
+  const auto scale = static_cast<std::uint32_t>(state.range(0));
+  const std::vector<Edge> edges = rmat_edges(scale);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Edge> copy = edges;
+    state.ResumeTiming();
+    Graph g = Graph::from_edges(VertexId{1} << scale, std::move(copy), /*symmetrize=*/true);
+    benchmark::DoNotOptimize(g.num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_FromEdges)->Arg(10)->Arg(14)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // The million-event throughput workload: 64 message chains striding across an
